@@ -204,7 +204,7 @@ type result =
 (* ------------------------------------------------------------------ *)
 
 (* Registry handles are resolved once here; the hot exploration loop only
-   touches its own [counters] record, and the totals are added to the
+   touches its own [counters] array, and the totals are added to the
    registry in one [snapshot] call per check — with no sink installed the
    per-step cost of observability is zero.  Trace spans (phases) and
    instants (crash injections) are emitted live, gated on
@@ -213,26 +213,11 @@ module Mx = struct
   open Obs.Metrics
 
   let checks = counter "perennial_refinement_checks_total"
-  let executions = counter "perennial_refinement_executions_total"
-  let steps = counter "perennial_refinement_steps_total"
-  let crashes = counter "perennial_refinement_crash_injections_total"
-  let vacuous = counter "perennial_refinement_vacuous_prunes_total"
-  let dedup_hits = counter "perennial_refinement_dedup_hits_total"
   let violations = counter "perennial_refinement_violations_total"
-  let max_candidates = gauge "perennial_refinement_max_candidates"
-  let frontier = gauge "perennial_refinement_frontier_depth_hwm"
 
   let cand_sizes =
     histogram ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]
       "perennial_refinement_candidate_set_size"
-
-  let faults = counter "perennial_refinement_faults_injected_total"
-  let fault_scheds = counter "perennial_refinement_fault_schedules_total"
-  let retries = counter "perennial_refinement_retries_observed_total"
-  let cache_hits = counter "perennial_refinement_cache_hits_total"
-
-  let fp_hits = counter "perennial_refinement_fingerprint_hits_total"
-  let fp_misses = counter "perennial_refinement_fingerprint_misses_total"
 
   let domains_g = gauge "perennial_refinement_domains"
   let work_items = counter "perennial_refinement_work_items_total"
@@ -243,109 +228,103 @@ module Mx = struct
 
   let check_seconds = histogram "perennial_refinement_check_seconds"
   let explore_us = gauge ~labels:[ ("phase", "explore") ] "perennial_refinement_phase_us"
-  let recovery_us = gauge ~labels:[ ("phase", "recovery") ] "perennial_refinement_phase_us"
-  let post_us = gauge ~labels:[ ("phase", "post") ] "perennial_refinement_phase_us"
 end
 
-(* Internal mutable counters; one record per engine instance (the legacy
-   whole-run engine, the phase-1 splitter, or one parallel work item), never
-   shared between domains — merged with [merge_into] and snapshotted into
-   [stats] once per check. *)
-type counters = {
-  mutable c_executions : int;
-  mutable c_steps : int;
-  mutable c_crashes : int;
-  mutable c_vacuous : int;
-  mutable c_max_candidates : int;
-  mutable c_dedup : int;
-  mutable c_frontier : int;
-  mutable c_commut : int;
-  mutable c_sleep : int;
-  mutable c_crash_skips : int;
-  mutable c_faults : int;
-  mutable c_fault_scheds : int;
-  mutable c_retries : int;
-  mutable c_cache_hits : int;
-  mutable c_fp_hits : int;
-  mutable c_fp_misses : int;
-  mutable c_recovery_us : float;
-  mutable c_post_us : float;
-}
+(* The per-check counters, defined once.  Each row names the registry
+   metric the counter feeds and how engine instances combine: [Sum] counts
+   add, [Max] high-water marks take the max, [Time] accumulates a phase's
+   wall time in nanoseconds.  A [counters] value is one int per row, owned
+   by one engine instance (the whole-run engine, the splitting phase, one
+   parallel work item or walk) and never shared between domains — merged
+   with [merge_into] and snapshotted into [stats] once per check.
 
-let fresh_counters () =
-  { c_executions = 0; c_steps = 0; c_crashes = 0; c_vacuous = 0; c_max_candidates = 0;
-    c_dedup = 0; c_frontier = 0; c_commut = 0; c_sleep = 0; c_crash_skips = 0;
-    c_faults = 0; c_fault_scheds = 0; c_retries = 0; c_cache_hits = 0;
-    c_fp_hits = 0; c_fp_misses = 0;
-    c_recovery_us = 0.; c_post_us = 0. }
+   [fault_schedules] increments only on globally-fresh schedule keys (the
+   shared seen-table in [run_instance]), so the sum over instances is the
+   cardinality of the union — independent of how the work was
+   partitioned. *)
+module C = struct
+  open Obs.Metrics
 
-(* Counts add; high-water marks take the max.  [c_fault_scheds] increments
-   only on globally-fresh schedule keys (the shared seen-table below), so
-   the sum over instances is the cardinality of the union — independent of
-   how the work was partitioned. *)
-let merge_into dst src =
-  dst.c_executions <- dst.c_executions + src.c_executions;
-  dst.c_steps <- dst.c_steps + src.c_steps;
-  dst.c_crashes <- dst.c_crashes + src.c_crashes;
-  dst.c_vacuous <- dst.c_vacuous + src.c_vacuous;
-  dst.c_max_candidates <- max dst.c_max_candidates src.c_max_candidates;
-  dst.c_dedup <- dst.c_dedup + src.c_dedup;
-  dst.c_frontier <- max dst.c_frontier src.c_frontier;
-  dst.c_commut <- dst.c_commut + src.c_commut;
-  dst.c_sleep <- dst.c_sleep + src.c_sleep;
-  dst.c_crash_skips <- dst.c_crash_skips + src.c_crash_skips;
-  dst.c_faults <- dst.c_faults + src.c_faults;
-  dst.c_fault_scheds <- dst.c_fault_scheds + src.c_fault_scheds;
-  dst.c_retries <- dst.c_retries + src.c_retries;
-  dst.c_cache_hits <- dst.c_cache_hits + src.c_cache_hits;
-  dst.c_fp_hits <- dst.c_fp_hits + src.c_fp_hits;
-  dst.c_fp_misses <- dst.c_fp_misses + src.c_fp_misses;
-  dst.c_recovery_us <- dst.c_recovery_us +. src.c_recovery_us;
-  dst.c_post_us <- dst.c_post_us +. src.c_post_us
+  type row = Sum of counter | Max of gauge | Time of gauge
 
-let snapshot ctr =
-  Obs.Metrics.inc ~by:ctr.c_executions Mx.executions;
-  Obs.Metrics.inc ~by:ctr.c_steps Mx.steps;
-  Obs.Metrics.inc ~by:ctr.c_crashes Mx.crashes;
-  Obs.Metrics.inc ~by:ctr.c_vacuous Mx.vacuous;
-  Obs.Metrics.inc ~by:ctr.c_dedup Mx.dedup_hits;
-  Obs.Metrics.record_max Mx.max_candidates (float_of_int ctr.c_max_candidates);
-  Obs.Metrics.record_max Mx.frontier (float_of_int ctr.c_frontier);
-  Obs.Metrics.inc ~by:ctr.c_commut Explore.Mx.commutations;
-  Obs.Metrics.inc ~by:ctr.c_sleep Explore.Mx.sleep_skips;
-  Obs.Metrics.inc ~by:ctr.c_crash_skips Explore.Mx.crash_skips;
-  Obs.Metrics.inc ~by:ctr.c_faults Mx.faults;
-  Obs.Metrics.inc ~by:ctr.c_fault_scheds Mx.fault_scheds;
-  Obs.Metrics.inc ~by:ctr.c_retries Mx.retries;
-  Obs.Metrics.inc ~by:ctr.c_cache_hits Mx.cache_hits;
-  Obs.Metrics.inc ~by:ctr.c_fp_hits Mx.fp_hits;
-  Obs.Metrics.inc ~by:ctr.c_fp_misses Mx.fp_misses;
-  Obs.Metrics.add Mx.recovery_us ctr.c_recovery_us;
-  Obs.Metrics.add Mx.post_us ctr.c_post_us;
+  let rows = ref []
+
+  let def row =
+    rows := row :: !rows;
+    List.length !rows - 1
+
+  let executions = def (Sum (counter "perennial_refinement_executions_total"))
+  let steps = def (Sum (counter "perennial_refinement_steps_total"))
+  let crashes_injected = def (Sum (counter "perennial_refinement_crash_injections_total"))
+  let vacuous = def (Sum (counter "perennial_refinement_vacuous_prunes_total"))
+  let max_candidates = def (Max (gauge "perennial_refinement_max_candidates"))
+  let dedup_hits = def (Sum (counter "perennial_refinement_dedup_hits_total"))
+  let frontier_hwm = def (Max (gauge "perennial_refinement_frontier_depth_hwm"))
+  let commutations_pruned = def (Sum Explore.Mx.commutations)
+  let sleep_skips = def (Sum Explore.Mx.sleep_skips)
+  let crash_skips = def (Sum Explore.Mx.crash_skips)
+  let faults_injected = def (Sum (counter "perennial_refinement_faults_injected_total"))
+  let fault_schedules = def (Sum (counter "perennial_refinement_fault_schedules_total"))
+  let retries_observed = def (Sum (counter "perennial_refinement_retries_observed_total"))
+  let cache_hits = def (Sum (counter "perennial_refinement_cache_hits_total"))
+  let fingerprint_hits = def (Sum (counter "perennial_refinement_fingerprint_hits_total"))
+  let fingerprint_misses = def (Sum (counter "perennial_refinement_fingerprint_misses_total"))
+
+  let recovery_ns =
+    def (Time (gauge ~labels:[ ("phase", "recovery") ] "perennial_refinement_phase_us"))
+
+  let post_ns = def (Time (gauge ~labels:[ ("phase", "post") ] "perennial_refinement_phase_us"))
+  let table = Array.of_list (List.rev !rows)
+end
+
+type counters = int array
+
+let fresh_counters () : counters = Array.make (Array.length C.table) 0
+let bump (ctr : counters) i = ctr.(i) <- ctr.(i) + 1
+
+let merge_into (dst : counters) (src : counters) =
+  Array.iteri
+    (fun i row ->
+      dst.(i) <-
+        (match row with
+        | C.Max _ -> max dst.(i) src.(i)
+        | C.Sum _ | C.Time _ -> dst.(i) + src.(i)))
+    C.table
+
+let snapshot (ctr : counters) =
+  Array.iteri
+    (fun i row ->
+      match row with
+      | C.Sum m -> Obs.Metrics.inc ~by:ctr.(i) m
+      | C.Max g -> Obs.Metrics.record_max g (float_of_int ctr.(i))
+      | C.Time g -> Obs.Metrics.add g (float_of_int ctr.(i) /. 1000.))
+    C.table;
   {
-    executions = ctr.c_executions;
-    steps = ctr.c_steps;
-    crashes_injected = ctr.c_crashes;
-    vacuous = ctr.c_vacuous;
-    max_candidates = ctr.c_max_candidates;
-    dedup_hits = ctr.c_dedup;
-    frontier_hwm = ctr.c_frontier;
-    commutations_pruned = ctr.c_commut;
-    sleep_skips = ctr.c_sleep;
-    crash_skips = ctr.c_crash_skips;
-    faults_injected = ctr.c_faults;
-    fault_schedules = ctr.c_fault_scheds;
-    retries_observed = ctr.c_retries;
-    cache_hits = ctr.c_cache_hits;
-    fingerprint_hits = ctr.c_fp_hits;
-    fingerprint_misses = ctr.c_fp_misses;
+    executions = ctr.(C.executions);
+    steps = ctr.(C.steps);
+    crashes_injected = ctr.(C.crashes_injected);
+    vacuous = ctr.(C.vacuous);
+    max_candidates = ctr.(C.max_candidates);
+    dedup_hits = ctr.(C.dedup_hits);
+    frontier_hwm = ctr.(C.frontier_hwm);
+    commutations_pruned = ctr.(C.commutations_pruned);
+    sleep_skips = ctr.(C.sleep_skips);
+    crash_skips = ctr.(C.crash_skips);
+    faults_injected = ctr.(C.faults_injected);
+    fault_schedules = ctr.(C.fault_schedules);
+    retries_observed = ctr.(C.retries_observed);
+    cache_hits = ctr.(C.cache_hits);
+    fingerprint_hits = ctr.(C.fingerprint_hits);
+    fingerprint_misses = ctr.(C.fingerprint_misses);
   }
 
-(* Time one top-level phase run, accumulating wall time into [cell] and
-   emitting a span when a trace sink is installed. *)
-let timed_phase name cell f =
+(* Time one top-level phase run, accumulating its wall time into counter
+   [cell] of [ctr] and emitting a span when a trace sink is installed. *)
+let timed_phase name (ctr : counters) cell f =
   let t0 = Obs.Trace.now_us () in
-  let finally () = cell (Obs.Trace.now_us () -. t0) in
+  let finally () =
+    ctr.(cell) <- ctr.(cell) + int_of_float ((Obs.Trace.now_us () -. t0) *. 1000.)
+  in
   if Obs.Trace.enabled () then
     Obs.Trace.with_span ~cat:"refinement" name (fun () -> Fun.protect ~finally f)
   else Fun.protect ~finally f
@@ -429,9 +408,9 @@ let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) 
     let sorted = List.sort_uniq compare_cand cands in
     if !live then begin
       let n = List.length sorted in
-      ctr.c_dedup <- ctr.c_dedup + (n0 - n);
+      ctr.(C.dedup_hits) <- ctr.(C.dedup_hits) + (n0 - n);
       Obs.Metrics.observe Mx.cand_sizes (float_of_int n);
-      if n > ctr.c_max_candidates then ctr.c_max_candidates <- n
+      if n > ctr.(C.max_candidates) then ctr.(C.max_candidates) <- n
     end;
     sorted
   in
@@ -549,12 +528,14 @@ let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) 
   { saturate; add_pending; respond; crash_cands }
 
 (* ------------------------------------------------------------------ *)
-(* One exploration engine instance                                      *)
+(* The exploration core                                                 *)
 (* ------------------------------------------------------------------ *)
 
+module E = Explore
+
 (* Outcome of a single engine instance; Violation/Budget never escape an
-   instance, so parallel work items can report independently and the driver
-   picks the deterministic winner. *)
+   instance, so parallel work items and walks can report independently and
+   the driver picks the deterministic winner. *)
 type inst_outcome = I_ok | I_viol of failure | I_budget
 
 (* Replay selection stops branch enumeration at the chosen index, so
@@ -562,10 +543,13 @@ type inst_outcome = I_ok | I_viol of failure | I_budget
    point this work item was emitted) are not re-executed. *)
 exception Break
 
-(* Run one DFS engine over the schedule tree.  Three modes share the code:
+let fail trace fmt = Fmt.kstr (fun reason -> raise (Violation (mk_failure reason trace))) fmt
 
-   - whole run ([cutoff = max_int], no [emit], empty [replay]): the legacy
-     sequential checker, bit-for-bit;
+(* What an engine instance drives over the core.
+
+   [Dfs] is the exhaustive checker, in one of three modes:
+   - whole run ([cutoff = max_int], no [emit], empty [replay]): the
+     sequential checker;
    - splitting phase ([emit = Some f]): explores (and fully accounts) the
      region above [cutoff]; on reaching a node at depth >= [cutoff] it
      emits the path of branch indices leading there as a work item and
@@ -573,31 +557,71 @@ exception Break
    - work item ([replay = path]): replays the recorded branch choices from
      the root without counting anything (phase 1 owns those stats), then
      explores the subtree below the cutoff node live.
+   Branch indices number, per node, the alternatives of each enabled
+   thread step in thread order: each normal outcome, then each fault
+   branch.  Crash branches are never indexed — they hang off a node and
+   are wholly explored by whichever instance visits that node live.  The
+   decomposition [phase-1 work + each item at its emission point] is
+   exactly the sequential DFS, so merged stats and the first
+   counterexample are independent of the domain count.
 
-   Branch indices number, per node, the deterministic enumeration the live
-   code performs: for each runnable thread in order, each normal outcome
-   then each fault branch.  Crash branches are never indexed — they hang
-   off a node and are wholly explored by whichever instance visits that
-   node live.  The decomposition [phase-1 work + each item at its emission
-   point] is exactly the sequential DFS, so merged stats and the first
-   counterexample are independent of the domain count. *)
-let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadline
-    ~step_base ~cutoff ~emit ~replay_path
-    ~(fp : (bool * string option) option) ~sched_seen ~sched_lock ~(ctr : counters) :
-    inst_outcome =
+   [Walks] runs walks [first..last] of a [schedules]-walk random check in
+   order, stopping at the first failure; walk [i] draws every choice from
+   its own RNG seeded by [(seed, i)]. *)
+type driver =
+  | Dfs of {
+      strategy : E.strategy;
+      cutoff : int;
+      emit : (int list -> unit) option;
+      replay : int list;
+      fp : (bool * string option) option;
+    }
+  | Walks of { seed : int; crash_prob : float; first : int; last : int; schedules : int }
+
+(* One engine instance: the exploration core — settle, the enabled steps
+   of a node, taking one alternative of a step, crash → recovery (with
+   nested crashes) → post — and the driver that walks it.  Each choice
+   point is resolved by the driver's chooser: the DFS explores every
+   alternative, a walk draws one. *)
+let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadline ~step_base
+    ~sched_seen ~sched_lock ~(ctr : counters) : inst_outcome =
   let spec = cfg.spec in
-  let replay = ref replay_path in
-  let counting = ref (replay_path = []) in
+  let counting = ref true in
   let tk = make_tracker spec ctr ~live:counting in
-  let emitting = emit <> None in
-  let fp_on = fp <> None in
-  let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp_on then 4096 else 1) in
-  let vstr v = Fmt.str "%a" V.pp v in
   let next_tid = ref 0 in
   let fresh_tid () =
     let t = !next_tid in
     incr next_tid;
     t
+  in
+  (* Thread ids must be a function of the path, not of how many sibling
+     paths the DFS visited first: each exploration subtree restores the
+     tid counter on exit, so the rendered counterexample for a given path
+     is identical whichever strategy (or sibling order) found it. *)
+  let scoped_tids f =
+    let saved = !next_tid in
+    Fun.protect ~finally:(fun () -> next_tid := saved) f
+  in
+
+  (* Choice points.  The DFS resolves each one exhaustively: every
+     alternative in turn, a crash before the step it preempts.  A walk
+     draws one alternative from its RNG — an index over the alternatives
+     (even a single one, so every walk consumes its RNG the same way), or
+     a coin of bias [crash_prob] for a crash. *)
+  let rng = ref (Random.State.make [||]) in
+  let draw n = Random.State.int !rng n in
+  let coin crash_prob = Random.State.float !rng 1.0 < crash_prob in
+  let each xs f =
+    match driver with
+    | Dfs _ -> List.iter f xs
+    | Walks _ -> f (List.nth xs (draw (List.length xs)))
+  in
+  let crash_or ~crash k =
+    match driver with
+    | Dfs _ ->
+      crash ();
+      k ()
+    | Walks { crash_prob; _ } -> if coin crash_prob then crash () else k ()
   in
 
   (* Coverage sites (DESIGN.md S20).  A crash site is named by the newest
@@ -613,21 +637,17 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
     | [] -> "init"
     | e :: _ -> phase_name e.ev_phase ^ ":" ^ e.ev_label
   in
-  let cov_crash_hit trace =
-    if Obs.Coverage.enabled () then Obs.Coverage.hit Obs.Coverage.Crash (crash_site trace)
-  in
   let cov_crash_skip trace =
     if Obs.Coverage.enabled () then
       Obs.Coverage.register Obs.Coverage.Crash (crash_site trace);
-    if Explore.Prov.enabled () then
-      Explore.Prov.record Explore.Prov.Clean_crash ~site:(crash_site trace) ()
+    if E.Prov.enabled () then E.Prov.record E.Prov.Clean_crash ~site:(crash_site trace) ()
   in
   let fault_site label kind = label ^ ":" ^ Sched.Fault.kind_name kind in
-  let cov_fault_sites label kinds =
+  let cov_fault_sites label faults =
     if Obs.Coverage.enabled () then
       List.iter
-        (fun kind -> Obs.Coverage.register Obs.Coverage.Fault (fault_site label kind))
-        kinds
+        (fun (kind, _) -> Obs.Coverage.register Obs.Coverage.Fault (fault_site label kind))
+        faults
   in
   let cov_fault_hit label kind =
     if Obs.Coverage.enabled () then
@@ -660,44 +680,58 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
         let trace = ev_invoke tid call' :: trace in
         settle (live' :: others) (tk.add_pending tid call' cands) trace)
   in
+  let initial () =
+    let lives, cands =
+      List.fold_left
+        (fun (lives, cands) ops ->
+          match ops with
+          | [] -> (lives, cands)
+          | (call, prog) :: rest ->
+            let tid = fresh_tid () in
+            ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
+        ([], [ { st = spec.Spec.init; pend = [] } ])
+        cfg.threads
+    in
+    (List.rev lives, cands)
+  in
 
   (* The step budget is shared between the splitting phase and each work
      item ([step_base] carries phase 1's spend into the items), so a
      parallel run's per-item budget matches what the item's subtree would
      have had left sequentially at its emission point. *)
   let bump_steps () =
-    ctr.c_steps <- ctr.c_steps + 1;
-    if step_base + ctr.c_steps > cfg.step_budget then raise Budget;
-    if Obs.Progress.enabled () && ctr.c_steps land 4095 = 0 then
-      Obs.Progress.tick ~executions:ctr.c_executions ~steps:(step_base + ctr.c_steps)
-        ~frontier:ctr.c_frontier ~fault_schedule:ctr.c_fault_scheds
+    bump ctr C.steps;
+    let n = ctr.(C.steps) in
+    if step_base + n > cfg.step_budget then raise Budget;
+    if Obs.Progress.enabled () && n land 4095 = 0 then
+      Obs.Progress.tick ~executions:ctr.(C.executions) ~steps:(step_base + n)
+        ~frontier:ctr.(C.frontier_hwm) ~fault_schedule:ctr.(C.fault_schedules)
         ?deadline_us:deadline ();
     (* The wall clock is polled once per 1024 steps: cheap enough to leave
        on, coarse enough that a check never overshoots by much. *)
     match deadline with
-    | Some t when ctr.c_steps land 1023 = 0 && Obs.Trace.now_us () > t ->
-      raise Budget
+    | Some t when n land 1023 = 0 && Obs.Trace.now_us () > t -> raise Budget
     | Some _ | None -> ()
   in
 
-  (* Fault bookkeeping.  [fpath] is the fault schedule of the current DFS
+  (* Fault bookkeeping.  [fpath] is the fault schedule of the current
      path, newest injection first, as (site, kind): fault-eligible steps
      are numbered 0, 1, … per path in commit order, mirroring the runner's
      oracle.  Distinct non-empty schedules across completed executions
      feed the [fault_schedules] stat; the seen-table is shared across the
      check's instances (mutex-guarded), so the count is the cardinality of
-     the union however the tree was partitioned. *)
+     the union however the work was partitioned. *)
   let fpath = ref [] in
   let in_fault_branch ~live site kind f =
     if live then begin
-      ctr.c_faults <- ctr.c_faults + 1;
+      bump ctr C.faults_injected;
       Obs.Trace.instant ~cat:"fault" "fault_injection"
     end;
     fpath := (site, kind) :: !fpath;
     Fun.protect ~finally:(fun () -> fpath := List.tl !fpath) f
   in
   let record_execution () =
-    ctr.c_executions <- ctr.c_executions + 1;
+    bump ctr C.executions;
     match !fpath with
     | [] -> ()
     | path ->
@@ -711,316 +745,175 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
       Mutex.lock sched_lock;
       if not (Hashtbl.mem sched_seen key) then begin
         Hashtbl.add sched_seen key ();
-        ctr.c_fault_scheds <- ctr.c_fault_scheds + 1
+        bump ctr C.fault_schedules
       end;
       Mutex.unlock sched_lock
   in
-  (* Retry loops announce themselves by labelling their steps "retry…";
-     counting committed retry steps gives the [retries_observed] stat. *)
+  (* Retry loops and reply caches announce themselves by their step labels
+     (see {!Sched.Retry}); counting committed steps so labelled gives the
+     [retries_observed] and [cache_hits] stats. *)
   let note_label label =
-    if String.length label >= 5 && String.sub label 0 5 = "retry" then
-      ctr.c_retries <- ctr.c_retries + 1
-    else if String.length label >= 13 && String.sub label 0 13 = "rpc_cache_hit" then
-      ctr.c_cache_hits <- ctr.c_cache_hits + 1
+    if String.starts_with ~prefix:Sched.Retry.retry_prefix label then
+      bump ctr C.retries_observed
+    else if String.starts_with ~prefix:Sched.Retry.cache_hit_prefix label then
+      bump ctr C.cache_hits
   in
 
   (* A path that reaches spec-level undefined behaviour is vacuously
      correct: the spec constrains nothing for such clients (§8.3). *)
-  let vacuous_ok f = try f () with Vacuous -> ctr.c_vacuous <- ctr.c_vacuous + 1 in
-
-  (* Thread ids must be a function of the path, not of how many sibling
-     paths the DFS visited first: each exploration subtree restores the
-     tid counter on exit, so the rendered counterexample for a given path
-     is identical whichever strategy (or sibling order) found it. *)
-  let scoped_tids f =
-    let saved = !next_tid in
-    Fun.protect ~finally:(fun () -> next_tid := saved) f
+  let vacuous_ok f = try f () with Vacuous -> bump ctr C.vacuous in
+  let deadlock trace lives =
+    if cfg.fail_on_deadlock then
+      fail trace "deadlock: threads %s all blocked"
+        (String.concat "," (List.map (fun l -> string_of_int l.tid) lives))
   in
 
-  (* Run the post-phase probe operations sequentially (exploring any
-     nondeterminism in their actions), then count one finished execution. *)
-  let rec run_post w cands trace ops =
-    scoped_tids @@ fun () ->
-    match ops with
-    | [] -> record_execution ()
-    | (call, prog) :: rest ->
-      let tid = fresh_tid () in
-      let cands = tk.add_pending tid call cands in
-      let rec go w prog trace =
-        match prog with
-        | Sched.Prog.Mark (_, p) -> go w p trace
-        | Sched.Prog.Done v ->
-          let trace = ev_post_return tid call v :: trace in
-          vacuous_ok (fun () ->
-              let cands = tk.respond tid v trace cands in
-              run_post w cands trace rest)
-        | Sched.Prog.Atomic { label; action; k; _ } ->
-          bump_steps ();
-          (match action w with
-          | Sched.Prog.Ub reason ->
-            raise
-              (Violation
-                 (mk_failure
-                    (Fmt.str "post op hit undefined behaviour at %s: %s" label reason)
-                    trace))
-          | Sched.Prog.Steps [] ->
-            raise (Violation (mk_failure (Fmt.str "post op blocked at %s" label) trace))
-          | Sched.Prog.Steps outs ->
-            List.iter (fun (w', v) -> go w' (k v) (ev_pstep label :: trace)) outs)
-      in
-      go w prog trace
-  in
-  let timed_post w cands trace =
-    timed_phase "post" (fun us -> ctr.c_post_us <- ctr.c_post_us +. us) (fun () ->
-        run_post w cands trace cfg.post)
+  (* One step [nx] of a program running alone — recovery or a post probe:
+     [k] continues from each outcome the chooser resolves.  Running alone,
+     blocking is a violation. *)
+  let solo who mk_ev trace nx k =
+    bump_steps ();
+    match nx with
+    | Sched.Prog.Enabled s ->
+      each (Sched.Prog.Step.outcomes s) (fun (w', prog') ->
+          k w' prog' (mk_ev (Sched.Prog.Step.label s) :: trace))
+    | Sched.Prog.Blocked label -> fail trace "%s blocked at %s" who label
+    | Sched.Prog.Undefined { label; reason } ->
+      fail trace "%s hit undefined behaviour at %s: %s" who label reason
+    | Sched.Prog.Finished _ -> assert false (* the caller finishes *)
   in
 
-  (* After recovery completes: one atomic spec crash transition; all
-     operations still in flight at the crash are dropped (those that
-     linearized keep their effect in the candidate state). *)
-  let finish_recovery w cands trace =
-    run_post w (tk.crash_cands trace cands) trace cfg.post
-  in
-
-  (* Recovery runs single-threaded; it may crash and restart (idempotence,
-     §5.5).  [crashes] counts injected crashes on this path. *)
-  let rec run_recovery w cands crashes trace =
-    let rec go w prog crashes trace =
-      (* marks are instantaneous annotations: consume them before branching
-         so the crash opportunity at this world is explored exactly once *)
-      let prog = Sched.Prog.strip_marks prog in
-      (* crash-during-recovery branch *)
-      if crashes < cfg.max_crashes then begin
-        ctr.c_crashes <- ctr.c_crashes + 1;
-        Obs.Trace.instant ~cat:"crash" "crash_injection";
-        cov_crash_hit trace;
-        run_recovery (cfg.crash_world w) cands (crashes + 1)
-          (ev_crash ~during_recovery:true :: trace)
-      end;
-      match prog with
-      | Sched.Prog.Mark _ -> assert false (* stripped above *)
-      | Sched.Prog.Done _ -> finish_recovery w cands trace
-      | Sched.Prog.Atomic { label; action; k; _ } ->
-        bump_steps ();
-        (match action w with
-        | Sched.Prog.Ub reason ->
-          raise
-            (Violation
-               (mk_failure
-                  (Fmt.str "recovery hit undefined behaviour at %s: %s" label reason)
-                  trace))
-        | Sched.Prog.Steps [] ->
-          raise (Violation (mk_failure (Fmt.str "recovery blocked at %s" label) trace))
-        | Sched.Prog.Steps outs ->
-          List.iter (fun (w', v) -> go w' (k v) crashes (ev_rstep label :: trace)) outs)
+  (* Run the post-phase probe operations one after another, then count one
+     finished execution.  A walk's counterexample keeps only the failing
+     probe's steps: there each probe starts again from the trace the post
+     phase began with, as walks have always rendered it. *)
+  let post w cands base =
+    let rec probes w cands trace = function
+      | [] -> record_execution ()
+      | (call, prog) :: rest ->
+        scoped_tids @@ fun () ->
+        let tid = fresh_tid () in
+        let cands = tk.add_pending tid call cands in
+        let rec go w prog trace =
+          match Sched.Prog.next w prog with
+          | Sched.Prog.Finished v ->
+            let trace = ev_post_return tid call v :: trace in
+            let next = match driver with Dfs _ -> trace | Walks _ -> base in
+            vacuous_ok (fun () -> probes w (tk.respond tid v trace cands) next rest)
+          | nx -> solo "post op" ev_pstep trace nx go
+        in
+        go w prog trace
     in
-    scoped_tids (fun () -> go w cfg.recovery crashes trace)
+    probes w cands base cfg.post
   in
-  let timed_recovery w cands crashes trace =
-    timed_phase "recovery" (fun us -> ctr.c_recovery_us <- ctr.c_recovery_us +. us)
-      (fun () -> run_recovery w cands crashes trace)
-  in
+  let timed_post w cands trace = timed_phase "post" ctr C.post_ns (fun () -> post w cands trace) in
 
-  (* A thread's continuation identity: MD5 over the structural serialization
-     of (current call, program position, remaining ops), with [Closures] so
-     the program's continuation closures — code pointer plus captured
-     environment — serialize too.  Equal keys mean structurally identical
-     continuations, hence identical future behaviour; distinct keys for
-     behaviourally equal threads only cost pruning, never soundness.  Code
-     pointers are stable within a process (and across its domains), which is
-     exactly the lifetime of the intern table's relevance. *)
-  let thread_key l =
-    Digest.to_hex (Digest.string (Marshal.to_string (l.call, l.prog, l.rest) [ Marshal.Closures ]))
+  let inject_crash trace =
+    bump ctr C.crashes_injected;
+    Obs.Trace.instant ~cat:"crash" "crash_injection";
+    if Obs.Coverage.enabled () then Obs.Coverage.hit Obs.Coverage.Crash (crash_site trace)
   in
-
-  (* Global fingerprint pruning (DESIGN.md S21): at a settled node, digest
-     everything the subtree is a function of; if this instance has explored
-     an equal digest before, the whole subtree (crash branch included) is
-     redundant.  Naive strategy only — under DPOR the backtrack sets of the
-     pruned path's nodes would be lost. *)
-  let fp_prune w lives cands crashes fused fsite =
-    match fp with
-    | None -> false
-    | Some (symmetry, key_prefix) ->
-      let st =
-        {
-          Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
-          f_cands =
-            List.map
-              (fun c ->
-                {
-                  Fingerprint.f_state = Fmt.str "%a" spec.Spec.pp_state c.st;
-                  f_pend =
-                    List.map
-                      (fun p ->
-                        {
-                          Fingerprint.f_ptid = p.ptid;
-                          f_op = p.pcall.Spec.op;
-                          f_args = List.map vstr p.pcall.Spec.args;
-                          f_result = Option.map vstr p.result;
-                        })
-                      c.pend;
-                })
-              cands;
-          f_phase = "main";
-          f_crashes = crashes;
-          f_fused = fused;
-          f_fsite = fsite;
-          f_threads =
-            List.map
-              (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l; f_hist = [] })
-              (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
-        }
-      in
-      let t, _fresh = Fingerprint.digest ~symmetry ?key_prefix st in
-      let id = Fingerprint.id t in
-      if Hashtbl.mem fp_seen id then begin
-        ctr.c_fp_hits <- ctr.c_fp_hits + 1;
-        true
-      end
-      else begin
-        Hashtbl.add fp_seen id ();
-        ctr.c_fp_misses <- ctr.c_fp_misses + 1;
-        false
-      end
-  in
-
-  (* Pop the next replayed branch index, if any.  [None] means this node is
-     explored live. *)
-  let pop_replay () =
-    match !replay with
-    | [] -> None
-    | i :: rest ->
-      replay := rest;
-      Some i
-  in
-
-  (* Main exploration: interleave threads; crash at any point; while the
-     fault budget [fused < fault_budget] lasts, every fault point also
-     branches.  [depth] is the schedule depth of this path, tracked as a
-     high-water mark; [fsite] numbers the fault-eligible steps committed on
-     this path; [rpath] is the reversed branch-index path (maintained only
-     when emitting work items). *)
-  let rec explore w lives cands crashes trace depth fused fsite rpath =
+  (* Recovery runs single-threaded after a crash and may itself crash at any
+     point while the crash budget lasts, restarting from the top
+     (idempotence, §5.5).  When it completes, the spec takes one atomic
+     crash transition — operations still in flight are dropped, those that
+     linearized keep their effect — and the post probes run. *)
+  let rec recover w cands crashes trace =
     scoped_tids @@ fun () ->
-    let sel = pop_replay () in
-    let live = sel = None in
-    match emit with
-    | Some e when live && depth >= cutoff -> e (List.rev rpath)
-    | _ ->
-      counting := live;
-      if live && depth > ctr.c_frontier then ctr.c_frontier <- depth;
-      (match settle lives cands trace with
-      | exception Vacuous -> if live then ctr.c_vacuous <- ctr.c_vacuous + 1
-      | lives, cands, trace ->
-        counting := true;
-        if live && fp_prune w lives cands crashes fused fsite then ()
-        else begin
-          (* crash branch: a crash may strike at any point, including after
-             all operations completed (durability of acknowledged writes).
-             Never replayed: the instance that visits this node live owns
-             it. *)
-          if live && crashes < cfg.max_crashes then begin
-            ctr.c_crashes <- ctr.c_crashes + 1;
-            Obs.Trace.instant ~cat:"crash" "crash_injection";
-            cov_crash_hit trace;
-            vacuous_ok (fun () ->
-                let sat = tk.saturate cands in
-                timed_recovery (cfg.crash_world w) sat (crashes + 1)
-                  (ev_crash ~during_recovery:false :: trace))
-          end;
-          if lives = [] then (if live then timed_post w cands trace)
-          else begin
-            (* schedule branches *)
-            let ran = ref false in
-            let brc = ref 0 in
-            (try
-               List.iteri
-                 (fun i l ->
-                   match l.prog with
-                   | Sched.Prog.Done _ | Sched.Prog.Mark _ ->
-                     assert false (* settled/stripped above *)
-                   | Sched.Prog.Atomic { label; action; faults; k; _ } ->
-                     (match action w with
-                     | Sched.Prog.Ub reason ->
-                       raise
-                         (Violation
-                            (mk_failure
-                               (Fmt.str "thread %d hit undefined behaviour at %s: %s"
-                                  l.tid label reason)
-                               trace))
-                     | Sched.Prog.Steps [] -> () (* blocked *)
-                     | Sched.Prog.Steps outs ->
-                       ran := true;
-                       if live then begin
-                         bump_steps ();
-                         note_label label
-                       end;
-                       let flts = faults w in
-                       if live then
-                         cov_fault_sites label (List.map (fun (kd, _, _) -> kd) flts);
-                       let fsite' = if flts <> [] then fsite + 1 else fsite in
-                       let resume j v =
-                         List.mapi
-                           (fun j' l' -> if j = j' then { l' with prog = k v } else l')
-                           lives
-                       in
-                       List.iter
-                         (fun (w', v) ->
-                           let idx = !brc in
-                           incr brc;
-                           let child () =
-                             explore w' (resume i v) cands crashes
-                               (ev_step l.tid label :: trace)
-                               (depth + 1) fused fsite'
-                               (if emitting then idx :: rpath else rpath)
-                           in
-                           match sel with
-                           | None -> child ()
-                           | Some s when s = idx ->
-                             child ();
-                             raise Break
-                           | Some _ -> ())
-                         outs;
-                       (* fault branches, after the normal outcomes so the
-                          first counterexample found is path-deterministic *)
-                       if fused < fault_budget then
-                         List.iter
-                           (fun (kind, w', v) ->
-                             let idx = !brc in
-                             incr brc;
-                             let child () =
-                               if live then cov_fault_hit label kind;
-                               in_fault_branch ~live fsite kind (fun () ->
-                                   explore w' (resume i v) cands crashes
-                                     (ev_fault l.tid label kind :: trace)
-                                     (depth + 1) (fused + 1) fsite'
-                                     (if emitting then idx :: rpath else rpath))
-                             in
-                             match sel with
-                             | None -> child ()
-                             | Some s when s = idx ->
-                               child ();
-                               raise Break
-                             | Some _ -> ())
-                           flts))
-                 lives
-             with Break -> ());
-            if live && (not !ran) && cfg.fail_on_deadlock then
-              raise
-                (Violation
-                   (mk_failure
-                      (Fmt.str "deadlock: threads %s all blocked"
-                         (String.concat ","
-                            (List.map (fun l -> string_of_int l.tid) lives)))
-                      trace))
-          end
-        end)
+    let rec go w prog trace =
+      let step () =
+        match Sched.Prog.next w prog with
+        | Sched.Prog.Finished _ -> post w (tk.crash_cands trace cands) trace
+        | nx -> solo "recovery" ev_rstep trace nx go
+      in
+      if crashes >= cfg.max_crashes then step ()
+      else
+        crash_or step ~crash:(fun () ->
+            inject_crash trace;
+            recover (cfg.crash_world w) cands (crashes + 1)
+              (ev_crash ~during_recovery:true :: trace))
+    in
+    go w cfg.recovery trace
+  in
+  (* A crash in the main phase.  Recovery starts with this crash counted
+     against the budget — except on a walk, whose recovery has always had
+     the full budget to itself; keeping that keeps every (seed, schedule)
+     naming the same walk. *)
+  let crash_main w cands crashes trace =
+    inject_crash trace;
+    vacuous_ok (fun () ->
+        let cands = tk.saturate cands in
+        let crashes = match driver with Dfs _ -> crashes + 1 | Walks _ -> crashes in
+        timed_phase "recovery" ctr C.recovery_ns (fun () ->
+            recover (cfg.crash_world w) cands crashes (ev_crash ~during_recovery:false :: trace)))
   in
 
-  (* Partial-order-reduced exploration: Flanagan–Godefroid DPOR over thread
-     steps, optional sleep sets, plus crash-point pruning.  Soundness rests
-     on three conservative rules (cross-validated against [Naive] by the
+  (* A live thread's next step as the drivers see it, or [None] while it
+     is blocked.  Its declared faults are always evaluated by the DFS —
+     they number the fault sites that fingerprints and fault schedules key
+     on — but by a walk only while the path's fault budget lasts.  The
+     footprint and the response scan feed DPOR only. *)
+  let probe ~live ~por w trace fused l =
+    match Sched.Prog.next w l.prog with
+    | Sched.Prog.Finished _ -> assert false (* settled above *)
+    | Sched.Prog.Blocked _ -> None
+    | Sched.Prog.Undefined { label; reason } ->
+      fail trace "thread %d hit undefined behaviour at %s: %s" l.tid label reason
+    | Sched.Prog.Enabled s ->
+      let label = Sched.Prog.Step.label s and outcomes = Sched.Prog.Step.outcomes s in
+      let declared =
+        match driver with
+        | Walks _ when fused >= fault_budget -> []
+        | Dfs _ | Walks _ -> Sched.Prog.Step.faults s
+      in
+      if live then cov_fault_sites label declared;
+      let faults = if fused < fault_budget then declared else [] in
+      let fp = if por then Sched.Prog.Step.footprint s else Sched.Footprint.Unknown in
+      Some
+        { E.si_tid = l.tid; si_label = label; si_fp = fp;
+          (* a step whose fault branches will be explored is globally
+             dependent, like an [Unknown] footprint: faulted and normal
+             outcomes may diverge arbitrarily, so it is never reordered;
+             so is a step that may complete its operation *)
+          si_visible =
+            (not por) || E.crash_relevant fp || faults <> []
+            || List.exists
+                 (fun (_, p) ->
+                   match Sched.Prog.strip_marks p with Sched.Prog.Done _ -> true | _ -> false)
+                 outcomes;
+          si_branches = outcomes;
+          si_faults = faults;
+          si_fault_site = declared <> [] }
+  in
+  (* Take one alternative of thread step [si] — a normal outcome, or the
+     fault [kind]; [k] continues in the resulting world, threads, trace and
+     fault count.  Every driver orders a step's alternatives the same way:
+     each normal outcome, then each fault the budget allows — after the
+     normal outcomes, so the first counterexample found is
+     path-deterministic. *)
+  let take ~live lives trace fused fsite si kind (w', prog') k =
+    let lives =
+      List.map (fun l -> if l.tid = si.E.si_tid then { l with prog = prog' } else l) lives
+    in
+    match kind with
+    | None -> k w' lives (ev_step si.si_tid si.si_label :: trace) fused
+    | Some kind ->
+      if live then cov_fault_hit si.si_label kind;
+      in_fault_branch ~live fsite kind (fun () ->
+          k w' lives (ev_fault si.si_tid si.si_label kind :: trace) (fused + 1))
+  in
+
+  (* ---- Exhaustive DFS.  One node routine serves every strategy: under
+     [Naive] every node is conservative — all enabled steps, no sleep set,
+     no race detection, every crash branch — and only naive prunes by
+     fingerprint.  [depth] is the schedule depth (a high-water mark stat);
+     [fsite] numbers the fault-eligible steps committed on the path;
+     [rpath] is the reversed branch-index path (kept only when emitting
+     work items).
+
+     Partial-order reduction is Flanagan–Godefroid DPOR over thread steps,
+     optional sleep sets, plus crash-point pruning.  Soundness rests on
+     three conservative rules (cross-validated against [Naive] by the
      differential harness in test/test_explore.ml):
      - a crash branch is skipped only at "clean" nodes — the step into the
        node wrote no durable state ([dirty] from its footprint) and settling
@@ -1034,7 +927,6 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
        between those points commute;
      - threads blocked or unannotated degrade to naive exploration around
        them.
-
      Parallel mode adds a fourth, also conservative, rule: every node above
      the split cutoff explores ALL enabled steps (full backtrack set, no
      sleep) — so no deep race ever needs to add a backtrack point to a
@@ -1042,269 +934,320 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
      anyway).  The shallow region loses some reduction; the subtrees keep
      full DPOR.  Within parallel mode the exploration is a fixed function
      of [split_depth], hence identical for every domain count. *)
-  let explore_por ~sleep_sets w0 lives0 cands0 =
-    let module E = Explore in
+  let dfs ~strategy ~cutoff ~emit ~replay ~fp =
+    let replay = ref replay in
+    let emitting = emit <> None in
+    let por = strategy <> E.Naive and sleep_sets = strategy = E.Dpor_sleep in
+    let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp <> None then 4096 else 1) in
+    let vstr v = Fmt.str "%a" V.pp v in
+    (* A thread's continuation identity: MD5 over the structural
+       serialization of (current call, program position, remaining ops),
+       with [Closures] so the program's continuation closures — code pointer
+       plus captured environment — serialize too.  Equal keys mean
+       structurally identical continuations, hence identical future
+       behaviour; distinct keys for behaviourally equal threads only cost
+       pruning, never soundness.  Code pointers are stable within a process
+       (and across its domains), which is exactly the lifetime of the intern
+       table's relevance. *)
+    let thread_key l =
+      Digest.to_hex
+        (Digest.string (Marshal.to_string (l.call, l.prog, l.rest) [ Marshal.Closures ]))
+    in
+    (* Global fingerprint pruning (DESIGN.md S21): at a settled node, digest
+       everything the subtree is a function of; if this instance has
+       explored an equal digest before, the whole subtree (crash branch
+       included) is redundant.  Naive strategy only — under DPOR the
+       backtrack sets of the pruned path's nodes would be lost. *)
+    let fp_prune w lives cands crashes fused fsite =
+      match fp with
+      | None -> false
+      | Some (symmetry, key_prefix) ->
+        let st =
+          {
+            Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
+            f_cands =
+              List.map
+                (fun c ->
+                  {
+                    Fingerprint.f_state = Fmt.str "%a" spec.Spec.pp_state c.st;
+                    f_pend =
+                      List.map
+                        (fun p ->
+                          {
+                            Fingerprint.f_ptid = p.ptid;
+                            f_op = p.pcall.Spec.op;
+                            f_args = List.map vstr p.pcall.Spec.args;
+                            f_result = Option.map vstr p.result;
+                          })
+                        c.pend;
+                  })
+                cands;
+            f_phase = "main";
+            f_crashes = crashes;
+            f_fused = fused;
+            f_fsite = fsite;
+            f_threads =
+              List.map
+                (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l; f_hist = [] })
+                (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
+          }
+        in
+        let t, _fresh = Fingerprint.digest ~symmetry ?key_prefix st in
+        let id = Fingerprint.id t in
+        if Hashtbl.mem fp_seen id then begin
+          bump ctr C.fingerprint_hits;
+          true
+        end
+        else begin
+          Hashtbl.add fp_seen id ();
+          bump ctr C.fingerprint_misses;
+          false
+        end
+    in
     let rec go w lives cands crashes trace depth fused fsite rpath ~dirty ~stack ~sleep =
       scoped_tids @@ fun () ->
-      let sel = pop_replay () in
+      (* the next replayed branch index, if any; [None]: explore live *)
+      let sel =
+        match !replay with
+        | [] -> None
+        | i :: rest ->
+          replay := rest;
+          Some i
+      in
       let live = sel = None in
       match emit with
       | Some e when live && depth >= cutoff -> e (List.rev rpath)
       | _ ->
-        (* conservative node: a shallow node in parallel mode (splitting
-           live, or mirrored during item replay) *)
-        let conservative = (emitting && live) || sel <> None in
         counting := live;
-        if live && depth > ctr.c_frontier then ctr.c_frontier <- depth;
+        if live && depth > ctr.(C.frontier_hwm) then ctr.(C.frontier_hwm) <- depth;
         (match settle lives cands trace with
-        | exception Vacuous -> if live then ctr.c_vacuous <- ctr.c_vacuous + 1
+        | exception Vacuous -> if live then bump ctr C.vacuous
         | lives, cands, trace' ->
           counting := true;
-          let dirty = dirty || not (trace' == trace) in
+          let dirty = dirty || trace' != trace in
           let trace = trace' in
-          if live && crashes < cfg.max_crashes then begin
-            if dirty then begin
-              ctr.c_crashes <- ctr.c_crashes + 1;
-              Obs.Trace.instant ~cat:"crash" "crash_injection";
-              cov_crash_hit trace;
-              vacuous_ok (fun () ->
-                  let sat = tk.saturate cands in
-                  timed_recovery (cfg.crash_world w) sat (crashes + 1)
-                    (ev_crash ~during_recovery:false :: trace))
-            end
-            else begin
-              ctr.c_crash_skips <- ctr.c_crash_skips + 1;
-              cov_crash_skip trace
-            end
-          end;
-          if lives = [] then (if live then timed_post w cands trace)
+          if live && fp_prune w lives cands crashes fused fsite then ()
           else begin
-            let infos =
-              List.filter_map
-                (fun l ->
-                  match l.prog with
-                  | Sched.Prog.Done _ | Sched.Prog.Mark _ ->
-                    assert false (* settled/stripped above *)
-                  | Sched.Prog.Atomic { label; fp; action; faults; k } ->
-                    (match action w with
-                    | Sched.Prog.Ub reason ->
-                      raise
-                        (Violation
-                           (mk_failure
-                              (Fmt.str "thread %d hit undefined behaviour at %s: %s"
-                                 l.tid label reason)
-                              trace))
-                    | Sched.Prog.Steps [] -> None (* blocked *)
-                    | Sched.Prog.Steps outs ->
-                      let branches = List.map (fun (w', v) -> (w', k v)) outs in
-                      let flts = faults w in
-                      if live then
-                        cov_fault_sites label (List.map (fun (kd, _, _) -> kd) flts);
-                      let fault_branches =
-                        if fused < fault_budget then
-                          List.map (fun (kind, w', v) -> (kind, (w', k v))) flts
-                        else []
-                      in
-                      let fp = fp w in
-                      let responds =
-                        List.exists
-                          (fun (_, p) ->
-                            match Sched.Prog.strip_marks p with
-                            | Sched.Prog.Done _ -> true
-                            | _ -> false)
-                          branches
-                      in
-                      Some
-                        { E.si_tid = l.tid; si_label = label; si_fp = fp;
-                          (* a step whose fault branches will be explored is
-                             globally dependent, like an [Unknown] footprint:
-                             faulted and normal outcomes may diverge
-                             arbitrarily, so it is never reordered *)
-                          si_visible =
-                            E.crash_relevant fp || responds || fault_branches <> [];
-                          si_branches = branches;
-                          si_faults = fault_branches;
-                          si_fault_site = flts <> [] }))
-                lives
-            in
-            match infos with
-            | [] ->
-              if live && cfg.fail_on_deadlock then
-                raise
-                  (Violation
-                     (mk_failure
-                        (Fmt.str "deadlock: threads %s all blocked"
-                           (String.concat ","
-                              (List.map (fun l -> string_of_int l.tid) lives)))
-                        trace))
-            | _ :: _ ->
-              let node = E.node ~sleep:(if conservative then [] else sleep) infos in
-              if conservative then
-                node.E.n_backtrack <- List.map (fun si -> si.E.si_tid) infos;
-              if not conservative then E.detect_races stack node;
-              let resume si prog' =
-                List.map
-                  (fun l -> if l.tid = si.E.si_tid then { l with prog = prog' } else l)
-                  lives
-              in
-              (match sel with
-              | Some s ->
-                (* replay: execute only the selected branch, with the node
-                   mirrored on the stack so deep race detection sees the
-                   same frames (its backtrack adds are no-ops here) *)
-                let brc = ref 0 in
-                (try
-                   List.iter
-                     (fun si ->
-                       node.E.n_done <- si.E.si_tid :: node.E.n_done;
-                       let fsite' = if si.E.si_fault_site then fsite + 1 else fsite in
-                       List.iter
-                         (fun (w', prog') ->
-                           let idx = !brc in
-                           incr brc;
-                           if idx = s then begin
-                             go w' (resume si prog') cands crashes
-                               (ev_step si.E.si_tid si.E.si_label :: trace)
-                               (depth + 1) fused fsite' rpath
-                               ~dirty:(E.crash_relevant si.E.si_fp)
-                               ~stack:({ E.f_node = node; f_step = si } :: stack)
-                               ~sleep:[];
-                             raise Break
-                           end)
-                         si.E.si_branches;
-                       List.iter
-                         (fun (kind, (w', prog')) ->
-                           let idx = !brc in
-                           incr brc;
-                           if idx = s then begin
-                             in_fault_branch ~live:false fsite kind (fun () ->
-                                 go w' (resume si prog') cands crashes
-                                   (ev_fault si.E.si_tid si.E.si_label kind :: trace)
-                                   (depth + 1) (fused + 1) fsite' rpath ~dirty:true
-                                   ~stack:({ E.f_node = node; f_step = si } :: stack)
-                                   ~sleep:[]);
-                             raise Break
-                           end)
-                         si.E.si_faults)
-                     infos
-                 with Break -> ())
-              | None ->
-                let explored = ref 0 and slept = ref 0 in
-                let first_explored = ref None in
-                let z = ref sleep in
-                let brc = ref 0 in
-                let rec drive () =
-                  match E.next_candidate node with
-                  | None -> ()
-                  | Some si ->
-                    node.E.n_done <- si.E.si_tid :: node.E.n_done;
-                    if (not conservative) && sleep_sets && List.mem si.E.si_tid !z
-                    then begin
-                      incr slept;
-                      ctr.c_sleep <- ctr.c_sleep + 1;
-                      if E.Prov.enabled () then
-                        E.Prov.record E.Prov.Sleep ~site:si.E.si_label
-                          ?witness:!first_explored ();
-                      drive ()
-                    end
-                    else begin
-                      incr explored;
-                      if !first_explored = None then first_explored := Some si.E.si_label;
-                      bump_steps ();
-                      note_label si.E.si_label;
-                      let fsite' = if si.E.si_fault_site then fsite + 1 else fsite in
-                      let child_sleep =
-                        if conservative || not sleep_sets then []
-                        else
-                          List.filter
-                            (fun tid ->
-                              match
-                                List.find_opt (fun q -> q.E.si_tid = tid) node.E.n_enabled
-                              with
-                              | Some q -> not (E.dependent q si)
-                              | None -> false (* blocked or finished: wake it *))
-                            !z
-                      in
-                      List.iter
-                        (fun (w', prog') ->
-                          let idx = !brc in
-                          incr brc;
-                          go w' (resume si prog') cands crashes
-                            (ev_step si.E.si_tid si.E.si_label :: trace)
-                            (depth + 1) fused fsite'
-                            (if emitting then idx :: rpath else rpath)
-                            ~dirty:(E.crash_relevant si.E.si_fp)
-                            ~stack:({ E.f_node = node; f_step = si } :: stack)
-                            ~sleep:child_sleep)
-                        si.E.si_branches;
-                      (* fault branches, after the normal outcomes; a torn
-                         write persists a durable prefix, so fault children are
-                         always crash-dirty *)
-                      List.iter
-                        (fun (kind, (w', prog')) ->
-                          let idx = !brc in
-                          incr brc;
-                          cov_fault_hit si.E.si_label kind;
-                          in_fault_branch ~live:true fsite kind (fun () ->
-                              go w' (resume si prog') cands crashes
-                                (ev_fault si.E.si_tid si.E.si_label kind :: trace)
-                                (depth + 1) (fused + 1) fsite'
-                                (if emitting then idx :: rpath else rpath)
-                                ~dirty:true
-                                ~stack:({ E.f_node = node; f_step = si } :: stack)
-                                ~sleep:child_sleep))
-                        si.E.si_faults;
-                      if sleep_sets && not conservative then z := si.E.si_tid :: !z;
-                      drive ()
-                    end
+            (* crash branch: a crash may strike at any point, including
+               after all operations completed (durability of acknowledged
+               writes).  Never replayed: the instance that visits this node
+               live owns it. *)
+            if live && crashes < cfg.max_crashes then begin
+              if dirty then crash_main w cands crashes trace
+              else begin
+                bump ctr C.crash_skips;
+                cov_crash_skip trace
+              end
+            end;
+            if lives = [] then (if live then timed_post w cands trace)
+            else begin
+              (* Every alternative of [si] by branch index — or, replaying,
+                 only the selected one. *)
+              let brc = ref 0 in
+              let explore si ~stack ~sleep =
+                if live then begin
+                  bump_steps ();
+                  note_label si.E.si_label
+                end;
+                let fsite' = if si.si_fault_site then fsite + 1 else fsite in
+                let branch kind o =
+                  let idx = !brc in
+                  incr brc;
+                  let child rpath =
+                    take ~live lives trace fused fsite si kind o (fun w lives trace fused' ->
+                        (* a fault child is always crash-dirty: a torn write
+                           persists a durable prefix *)
+                        go w lives cands crashes trace (depth + 1) fused' fsite' rpath
+                          ~dirty:(fused' > fused || E.crash_relevant si.si_fp)
+                          ~stack ~sleep)
+                  in
+                  match sel with
+                  | None -> child (if emitting then idx :: rpath else rpath)
+                  | Some s when s = idx ->
+                    child rpath;
+                    raise Break
+                  | Some _ -> ()
                 in
-                drive ();
-                let pruned = List.length infos - !explored - !slept in
-                if pruned > 0 then begin
-                  ctr.c_commut <- ctr.c_commut + pruned;
-                  if E.Prov.enabled () then
-                    List.iter
-                      (fun si ->
-                        if not (List.mem si.E.si_tid node.E.n_done) then
-                          E.Prov.record E.Prov.Commutation ~site:si.E.si_label
-                            ?witness:!first_explored ())
-                      infos
-                end)
+                List.iter (branch None) si.si_branches;
+                List.iter (fun (kind, o) -> branch (Some kind) o) si.si_faults
+              in
+              if not por then begin
+                (* naive: each thread is probed only after the subtrees of
+                   the threads before it are explored *)
+                let rec threads ran = function
+                  | [] -> if live && not ran then deadlock trace lives
+                  | l :: rest ->
+                    (match probe ~live ~por w trace fused l with
+                    | None -> threads ran rest
+                    | Some si ->
+                      explore si ~stack ~sleep:[];
+                      threads true rest)
+                in
+                try threads false lives with Break -> ()
+              end
+              else
+                match List.filter_map (probe ~live ~por w trace fused) lives with
+                | [] -> if live then deadlock trace lives
+                | infos ->
+                  (* conservative node: a shallow node in parallel mode
+                     (splitting live, or mirrored during item replay with
+                     the node on the stack, so deep race detection sees the
+                     same frames — its backtrack adds are no-ops here) *)
+                  let conservative = emitting || not live in
+                  let node = E.node ~sleep:(if conservative then [] else sleep) infos in
+                  if conservative then
+                    node.E.n_backtrack <- List.map (fun si -> si.E.si_tid) infos
+                  else E.detect_races stack node;
+                  let explored = ref 0 and slept = ref 0 in
+                  let first_explored = ref None in
+                  let z = ref sleep in
+                  let rec drive () =
+                    match E.next_candidate node with
+                    | None -> ()
+                    | Some si ->
+                      node.E.n_done <- si.E.si_tid :: node.E.n_done;
+                      if (not conservative) && sleep_sets && List.mem si.E.si_tid !z then begin
+                        incr slept;
+                        bump ctr C.sleep_skips;
+                        if E.Prov.enabled () then
+                          E.Prov.record E.Prov.Sleep ~site:si.E.si_label
+                            ?witness:!first_explored ()
+                      end
+                      else begin
+                        incr explored;
+                        if !first_explored = None then first_explored := Some si.E.si_label;
+                        let child_sleep =
+                          if conservative || not sleep_sets then []
+                          else
+                            List.filter
+                              (fun tid ->
+                                match
+                                  List.find_opt (fun q -> q.E.si_tid = tid) node.E.n_enabled
+                                with
+                                | Some q -> not (E.dependent q si)
+                                | None -> false (* blocked or finished: wake it *))
+                              !z
+                        in
+                        explore si
+                          ~stack:({ E.f_node = node; f_step = si } :: stack)
+                          ~sleep:child_sleep;
+                        if sleep_sets && not conservative then z := si.E.si_tid :: !z
+                      end;
+                      drive ()
+                  in
+                  (try drive () with Break -> ());
+                  let pruned = List.length infos - !explored - !slept in
+                  if pruned > 0 && not conservative then begin
+                    ctr.(C.commutations_pruned) <- ctr.(C.commutations_pruned) + pruned;
+                    if E.Prov.enabled () then
+                      List.iter
+                        (fun si ->
+                          if not (List.mem si.E.si_tid node.E.n_done) then
+                            E.Prov.record E.Prov.Commutation ~site:si.E.si_label
+                              ?witness:!first_explored ())
+                        infos
+                  end
+            end
           end)
     in
+    counting := !replay = [];
+    let lives, cands = initial () in
     (* [dirty = true] at the root: the crash before any step is always
        explored. *)
-    go w0 lives0 cands0 0 [] 0 0 0 [] ~dirty:true ~stack:[] ~sleep:[]
+    go cfg.init_world lives cands 0 [] 0 0 0 [] ~dirty:true ~stack:[] ~sleep:[]
   in
 
-  let initial_lives, initial_cands =
-    List.fold_left
-      (fun (lives, cands) ops ->
-        match ops with
-        | [] -> (lives, cands)
-        | (call, prog) :: rest ->
-          let tid = fresh_tid () in
-          ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
-      ([], [ { st = spec.Spec.init; pend = [] } ])
-      cfg.threads
+  (* ---- Random walks.  Each node draws: a crash coin (while the crash
+     budget lasts), then a thread among the enabled ones, then one of its
+     alternatives — a normal outcome or, while the path's fault budget
+     lasts, a declared fault.  A walk whose threads are all blocked crashes
+     if it still may, and is a deadlock otherwise. *)
+  let walks ~seed ~crash_prob ~first ~last ~schedules =
+    let rec node w lives cands crashes trace depth fused fsite =
+      if depth > ctr.(C.frontier_hwm) then ctr.(C.frontier_hwm) <- depth;
+      let lives, cands, trace = settle lives cands trace in
+      if crashes < cfg.max_crashes && coin crash_prob then crash_main w cands crashes trace
+      else if lives = [] then timed_post w cands trace
+      else
+        match List.filter_map (probe ~live:true ~por:false w trace fused) lives with
+        | [] ->
+          if crashes < cfg.max_crashes then crash_main w cands crashes trace
+          else deadlock trace lives
+        | enabled ->
+          bump_steps ();
+          let si = List.nth enabled (draw (List.length enabled)) in
+          note_label si.E.si_label;
+          let n = List.length si.si_branches in
+          let i = draw (n + List.length si.si_faults) in
+          let kind, o =
+            if i < n then (None, List.nth si.si_branches i)
+            else
+              let kind, o = List.nth si.si_faults (i - n) in
+              (Some kind, o)
+          in
+          let fsite' = if si.si_fault_site then fsite + 1 else fsite in
+          take ~live:true lives trace fused fsite si kind o (fun w lives trace fused ->
+              node w lives cands crashes trace (depth + 1) fused fsite')
+    in
+    for i = first to last do
+      rng := Random.State.make [| seed; i |];
+      next_tid := 0;
+      try
+        let lives, cands = initial () in
+        node cfg.init_world lives cands 0 [] 0 0 0
+      with
+      | Vacuous -> bump ctr C.vacuous
+      | Violation f ->
+        raise
+          (Violation
+             { f with reason = Fmt.str "[seed=%d schedule=%d/%d] %s" seed i schedules f.reason })
+    done
   in
-  let run () =
-    match strategy with
-    | Explore.Naive ->
-      explore cfg.init_world (List.rev initial_lives) initial_cands 0 [] 0 0 0 []
-    | Explore.Dpor ->
-      explore_por ~sleep_sets:false cfg.init_world (List.rev initial_lives) initial_cands
-    | Explore.Dpor_sleep ->
-      explore_por ~sleep_sets:true cfg.init_world (List.rev initial_lives) initial_cands
-  in
-  match run () with
+  match
+    match driver with
+    | Dfs { strategy; cutoff; emit; replay; fp } -> dfs ~strategy ~cutoff ~emit ~replay ~fp
+    | Walks { seed; crash_prob; first; last; schedules } ->
+      walks ~seed ~crash_prob ~first ~last ~schedules
+  with
   | () -> I_ok
   | exception Violation f -> I_viol f
   | exception Budget -> I_budget
 
 (* ------------------------------------------------------------------ *)
-(* The exhaustive checker                                               *)
+(* Drivers                                                              *)
 (* ------------------------------------------------------------------ *)
+
+let result_of stats = function
+  | I_ok -> Refinement_holds stats
+  | I_viol f -> Refinement_violated (f, stats)
+  | I_budget -> Budget_exhausted stats
+
+let deadline_of max_seconds = Option.map (fun s -> Obs.Trace.now_us () +. (s *. 1e6)) max_seconds
+
+(* Run jobs [0 .. n_items - 1] on up to [domains] domains, each with its
+   own counters, merged into [into].  Every job runs to completion even
+   after another fails — early cancellation would make the merged stats
+   depend on timing — and the outcome reported is the lowest-index job that
+   did not hold, never the first to finish. *)
+let pool ~domains ~into n_items job =
+  let ctrs = Array.init n_items (fun _ -> fresh_counters ()) in
+  let results = Array.make n_items I_ok in
+  let next = Atomic.make 0 in
+  let rec worker primary () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n_items then begin
+      if not primary then Obs.Metrics.inc Mx.steals;
+      results.(i) <- job i ctrs.(i);
+      worker primary ()
+    end
+  in
+  let doms =
+    List.init (min domains (max 1 n_items) - 1) (fun _ -> Domain.spawn (worker false))
+  in
+  worker true ();
+  List.iter Domain.join doms;
+  Array.iter (merge_into into) ctrs;
+  Array.find_opt (function I_ok -> false | I_viol _ | I_budget -> true) results
 
 let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
     ?(split_depth = 2) ?(fingerprint = false) ?(symmetry = false) ?key_prefix
@@ -1324,98 +1267,47 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
     match faults with Some n -> max 0 n | None -> cfg.fault_budget
   in
   let deadline =
-    match (match max_seconds with Some _ as s -> s | None -> cfg.max_seconds) with
-    | None -> None
-    | Some s -> Some (Obs.Trace.now_us () +. (s *. 1e6))
+    deadline_of (match max_seconds with Some _ -> max_seconds | None -> cfg.max_seconds)
   in
   let fp = if fingerprint then Some (symmetry, key_prefix) else None in
-  let sched_seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let sched_lock = Mutex.create () in
-  let run_one ~step_base ~cutoff ~emit ~replay_path ~ctr =
-    run_instance cfg ~strategy ~fault_budget ~deadline ~step_base ~cutoff ~emit
-      ~replay_path ~fp ~sched_seen ~sched_lock ~ctr
+  let sched_seen = Hashtbl.create 16 and sched_lock = Mutex.create () in
+  let run ?(cutoff = max_int) ?emit ?(replay = []) ~step_base ctr =
+    run_instance cfg ~driver:(Dfs { strategy; cutoff; emit; replay; fp }) ~fault_budget
+      ~deadline ~step_base ~sched_seen ~sched_lock ~ctr
   in
   let t0 = Obs.Trace.now_us () in
   let r =
     timed_check "refinement.check" (fun () ->
+        let ctr = fresh_counters () in
         match domains with
         | None ->
-          (* Sequential whole-run engine: the legacy checker, unchanged. *)
-          let ctr = fresh_counters () in
-          (match
-             run_one ~step_base:0 ~cutoff:max_int ~emit:None ~replay_path:[] ~ctr
-           with
-          | I_ok -> Refinement_holds (snapshot ctr)
-          | I_viol f -> Refinement_violated (f, snapshot ctr)
-          | I_budget -> Budget_exhausted (snapshot ctr))
+          let o = run ~step_base:0 ctr in
+          result_of (snapshot ctr) o
         | Some n ->
           Obs.Metrics.set Mx.domains_g (float_of_int n);
           (* Phase 1: sequential split.  Everything above [split_depth] is
              explored (and counted) here; each subtree root at the cutoff
              becomes a work item, in DFS order. *)
-          let items_rev = ref [] in
-          let p1 = fresh_counters () in
-          let o1 =
-            run_one ~step_base:0 ~cutoff:split_depth
-              ~emit:(Some (fun path -> items_rev := path :: !items_rev))
-              ~replay_path:[] ~ctr:p1
-          in
-          (match o1 with
+          let items = ref [] in
+          (match
+             run ~cutoff:split_depth ~emit:(fun path -> items := path :: !items) ~step_base:0 ctr
+           with
           | I_budget ->
             (* The split phase itself blew the budget; items would only
                re-spend it. *)
-            Budget_exhausted (snapshot p1)
-          | _ ->
-            let items = Array.of_list (List.rev !items_rev) in
-            let n_items = Array.length items in
-            Obs.Metrics.inc ~by:n_items Mx.work_items;
-            let ctrs = Array.init n_items (fun _ -> fresh_counters ()) in
-            let results = Array.make n_items I_ok in
-            let next = Atomic.make 0 in
-            let step_base = p1.c_steps in
-            (* Every emitted item runs to completion even after another
-               finds a violation: early cancellation would make the merged
-               stats depend on timing.  The *winner* is chosen by item
-               order below, never by finish order. *)
-            let worker primary () =
-              let rec loop () =
-                let i = Atomic.fetch_and_add next 1 in
-                if i < n_items then begin
-                  if not primary then Obs.Metrics.inc Mx.steals;
-                  results.(i) <-
-                    run_one ~step_base ~cutoff:max_int ~emit:None
-                      ~replay_path:items.(i) ~ctr:ctrs.(i);
-                  loop ()
-                end
-              in
-              loop ()
+            Budget_exhausted (snapshot ctr)
+          | o1 ->
+            let items = Array.of_list (List.rev !items) in
+            Obs.Metrics.inc ~by:(Array.length items) Mx.work_items;
+            let step_base = ctr.(C.steps) in
+            let first =
+              pool ~domains:n ~into:ctr (Array.length items) (fun i c ->
+                  run ~replay:items.(i) ~step_base c)
             in
-            let n_workers = min n (max 1 n_items) in
-            let doms =
-              List.init (n_workers - 1) (fun _ ->
-                  Domain.spawn (fun () -> worker false ()))
-            in
-            worker true ();
-            List.iter Domain.join doms;
-            let merged = p1 in
-            Array.iter (fun c -> merge_into merged c) ctrs;
-            let stats = snapshot merged in
             (* First counterexample wins, in sequential DFS order: every
                emitted item precedes the splitting phase's own outcome
-               (emission stops at its raise), so scan items 0..n-1 first. *)
-            let rec scan i =
-              if i >= n_items then
-                match o1 with
-                | I_ok -> Refinement_holds stats
-                | I_viol f -> Refinement_violated (f, stats)
-                | I_budget -> assert false
-              else
-                match results.(i) with
-                | I_viol f -> Refinement_violated (f, stats)
-                | I_budget -> Budget_exhausted stats
-                | I_ok -> scan (i + 1)
-            in
-            scan 0))
+               (emission stops at its raise). *)
+            result_of (snapshot ctr) (Option.value first ~default:o1)))
   in
   Obs.Metrics.add (Explore.strategy_us strategy) (Obs.Trace.now_us () -. t0);
   r
@@ -1442,303 +1334,42 @@ let check_exn ?strategy ?faults ?max_seconds ?domains ?split_depth ?fingerprint
          "Budget_exhausted: step or wall-clock budget exceeded before the state space was covered after %.2fs (max_seconds=%s, step_budget=%d) (stats: %a)"
          elapsed_s max_s cfg.step_budget pp_stats stats)
 
-(* ------------------------------------------------------------------ *)
-(* The randomized checker                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One random walk through the schedule/outcome/crash space.  Same
-   linearization bookkeeping as the exhaustive checker, but each choice
-   point picks a single alternative.  Sound for bug-finding on instances
-   too large to exhaust; a pass is evidence, not proof.
-
-   Every schedule draws from its own RNG, seeded by [(seed, index)]: a
-   failure tagged [seed=S schedule=I/N] replays from those numbers alone
-   (see {!check_random_replay}), independent of the draws — schedule
-   choices, outcome picks, crash coins during recovery — consumed by the
-   preceding N-1 walks.  That per-walk isolation is also what makes
-   [?domains] sound: walks share no RNG, tid counter, or tracker state, so
-   they can run on any domain in any order and still produce the walk the
-   seed names. *)
-let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?domains
-    (cfg : (w, s) config) : result =
-  let spec = cfg.spec in
+(* Random walks through the schedule/outcome/crash/fault space, over the
+   same core as the exhaustive checker.  Every walk draws from its own RNG,
+   seeded by [(seed, index)]: a failure tagged [seed=S schedule=I/N]
+   replays from those numbers alone (see {!check_random_replay}).  That
+   per-walk isolation is also what makes [?domains] sound: walks share no
+   RNG, tid counter, or tracker state, so they can run on any domain in any
+   order and still produce the walk the seed names. *)
+let check_random_walks ~schedules ~first ~last ~seed ~crash_prob ?domains cfg =
   Obs.Metrics.inc Mx.checks;
-  (* A walker instance: private counters, tracker, RNG and tid counter.
-     [walk i] runs schedule [i] from scratch; Violation/Budget escape to
-     the caller. *)
-  let make_walker (ctr : counters) =
-    let tk = make_tracker spec ctr ~live:(ref true) in
-    let current_rng = ref (Random.State.make [| seed; first |]) in
-    let next_tid = ref 0 in
-    let fresh_tid () =
-      let t = !next_tid in
-      incr next_tid;
-      t
-    in
-    let bump_steps () =
-      ctr.c_steps <- ctr.c_steps + 1;
-      if ctr.c_steps > cfg.step_budget then raise Budget
-    in
-    let pick xs = List.nth xs (Random.State.int !current_rng (List.length xs)) in
-
-    (* run a single program to completion with random outcome choices *)
-    let run_solo ~what ~mk_ev w prog trace =
-      let rec go w prog trace =
-        match prog with
-        | Sched.Prog.Mark (_, p) -> go w p trace
-        | Sched.Prog.Done v -> (w, v, trace)
-        | Sched.Prog.Atomic { label; action; k; _ } ->
-          bump_steps ();
-          (match action w with
-          | Sched.Prog.Ub reason ->
-            raise
-              (Violation
-                 (mk_failure
-                    (Fmt.str "%s hit undefined behaviour at %s: %s" what label reason)
-                    trace))
-          | Sched.Prog.Steps [] ->
-            raise (Violation (mk_failure (Fmt.str "%s blocked at %s" what label) trace))
-          | Sched.Prog.Steps outs ->
-            let w', v = pick outs in
-            go w' (k v) (mk_ev label :: trace))
-      in
-      go w prog trace
-    in
-
-    let run_post w cands trace =
-      let _, _ =
-        List.fold_left
-          (fun (w, cands) (call, prog) ->
-            let tid = fresh_tid () in
-            let cands = tk.add_pending tid call cands in
-            let w, v, trace' = run_solo ~what:"post" ~mk_ev:ev_pstep w prog trace in
-            let trace' = ev_post_return tid call v :: trace' in
-            (w, tk.respond tid v trace' cands))
-          (w, cands) cfg.post
-      in
-      ctr.c_executions <- ctr.c_executions + 1
-    in
-    let timed_post w cands trace =
-      timed_phase "post" (fun us -> ctr.c_post_us <- ctr.c_post_us +. us) (fun () ->
-          run_post w cands trace)
-    in
-
-    (* crash, then recovery (itself subject to random crashes), then the spec
-       crash transition and the post probes *)
-    let do_crash w cands crashes trace =
-      ctr.c_crashes <- ctr.c_crashes + 1;
-      Obs.Trace.instant ~cat:"crash" "crash_injection";
-      let sat = tk.saturate cands in
-      let rec recover w crashes trace =
-        let rec go w prog trace =
-          let prog = Sched.Prog.strip_marks prog in
-          if crashes < cfg.max_crashes && Random.State.float !current_rng 1.0 < crash_prob
-          then begin
-            ctr.c_crashes <- ctr.c_crashes + 1;
-            Obs.Trace.instant ~cat:"crash" "crash_injection";
-            recover (cfg.crash_world w) (crashes + 1)
-              (ev_crash ~during_recovery:true :: trace)
-          end
-          else
-            match prog with
-            | Sched.Prog.Mark _ -> assert false (* stripped above *)
-            | Sched.Prog.Done _ -> (w, trace)
-            | Sched.Prog.Atomic { label; action; k; _ } ->
-              bump_steps ();
-              (match action w with
-              | Sched.Prog.Ub reason ->
-                raise
-                  (Violation
-                     (mk_failure
-                        (Fmt.str "recovery hit undefined behaviour at %s: %s" label reason)
-                        trace))
-              | Sched.Prog.Steps [] ->
-                raise
-                  (Violation (mk_failure (Fmt.str "recovery blocked at %s" label) trace))
-              | Sched.Prog.Steps outs ->
-                let w', v = pick outs in
-                go w' (k v) (ev_rstep label :: trace))
-        in
-        go w cfg.recovery trace
-      in
-      let w, trace =
-        timed_phase "recovery" (fun us -> ctr.c_recovery_us <- ctr.c_recovery_us +. us)
-          (fun () ->
-            recover (cfg.crash_world w) crashes (ev_crash ~during_recovery:false :: trace))
-      in
-      timed_post w (tk.crash_cands trace sat) trace
-    in
-
-    let walk_body () =
-      let lives, cands =
-        List.fold_left
-          (fun (lives, cands) ops ->
-            match ops with
-            | [] -> (lives, cands)
-            | (call, prog) :: rest ->
-              let tid = fresh_tid () in
-              ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
-          ([], [ { st = spec.Spec.init; pend = [] } ])
-          cfg.threads
-      in
-      let rec main w lives cands crashes trace depth =
-        if depth > ctr.c_frontier then ctr.c_frontier <- depth;
-        (* settle finished threads first *)
-        let rec settle lives cands trace =
-          let lives =
-            List.map (fun l -> { l with prog = Sched.Prog.strip_marks l.prog }) lives
-          in
-          let rec find acc = function
-            | [] -> None
-            | ({ prog = Sched.Prog.Done v; _ } as l) :: rest ->
-              Some (List.rev_append acc rest, l, v)
-            | l :: rest -> find (l :: acc) rest
-          in
-          match find [] lives with
-          | None -> (lives, cands, trace)
-          | Some (others, l, v) ->
-            let trace = ev_return l.tid l.call v :: trace in
-            let cands = tk.respond l.tid v trace cands in
-            (match l.rest with
-            | [] -> settle others cands trace
-            | (call', prog') :: rest' ->
-              let tid = fresh_tid () in
-              let live' = { tid; call = call'; prog = prog'; rest = rest' } in
-              settle (live' :: others) (tk.add_pending tid call' cands)
-                (ev_invoke tid call' :: trace))
-        in
-        let lives, cands, trace = settle lives cands trace in
-        if lives = [] then
-          if crashes < cfg.max_crashes && Random.State.float !current_rng 1.0 < crash_prob
-          then do_crash w cands crashes trace
-          else timed_post w cands trace
-        else if
-          crashes < cfg.max_crashes && Random.State.float !current_rng 1.0 < crash_prob
-        then do_crash w cands crashes trace
-        else begin
-          (* collect the runnable threads as commit closures (the step's
-             payload type must not escape the match arm) *)
-          let steppable =
-            List.concat
-              (List.mapi
-                 (fun i l ->
-                   match l.prog with
-                   | Sched.Prog.Done _ | Sched.Prog.Mark _ -> []
-                   | Sched.Prog.Atomic { label; action; k; _ } -> (
-                     match action w with
-                     | Sched.Prog.Ub reason ->
-                       raise
-                         (Violation
-                            (mk_failure
-                               (Fmt.str "thread %d hit undefined behaviour at %s: %s" l.tid
-                                  label reason)
-                               trace))
-                     | Sched.Prog.Steps [] -> []
-                     | Sched.Prog.Steps outs ->
-                       [ (fun () ->
-                           let w', v = pick outs in
-                           let lives' =
-                             List.mapi
-                               (fun j l' -> if i = j then { l' with prog = k v } else l')
-                               lives
-                           in
-                           (w', lives', ev_step l.tid label :: trace)) ]))
-                 lives)
-          in
-          match steppable with
-          | [] ->
-            if crashes < cfg.max_crashes then do_crash w cands crashes trace
-            else if cfg.fail_on_deadlock then
-              raise
-                (Violation
-                   (mk_failure
-                      (Fmt.str "deadlock: threads %s all blocked"
-                         (String.concat ","
-                            (List.map (fun l -> string_of_int l.tid) lives)))
-                      trace))
-            else ()
-          | _ ->
-            bump_steps ();
-            let w', lives', trace' = (pick steppable) () in
-            main w' lives' cands crashes trace' (depth + 1)
-        end
-      in
-      main cfg.init_world (List.rev lives) cands 0 [] 0
-    in
-    (* The schedule index makes a randomized counterexample reproducible:
-       walk [i] draws only from [Random.State.make [| seed; i |]], so the
-       failing schedule replays from [seed=.. schedule=i/n] alone. *)
-    fun i ->
-      current_rng := Random.State.make [| seed; i |];
-      next_tid := 0;
-      try walk_body () with Vacuous -> ctr.c_vacuous <- ctr.c_vacuous + 1
+  (match domains with
+  | Some n when n < 1 -> invalid_arg "Refinement.check_random: domains must be >= 1"
+  | _ -> ());
+  let deadline = deadline_of cfg.max_seconds in
+  let sched_seen = Hashtbl.create 16 and sched_lock = Mutex.create () in
+  let run first last ctr =
+    run_instance cfg ~driver:(Walks { seed; crash_prob; first; last; schedules })
+      ~fault_budget:cfg.fault_budget ~deadline ~step_base:0 ~sched_seen ~sched_lock ~ctr
   in
-  let prefix i reason = Fmt.str "[seed=%d schedule=%d/%d] %s" seed i schedules reason in
-  match domains with
-  | None ->
-    (* Legacy sequential run: shared counters, cumulative step budget,
-       stop at the first failing walk. *)
-    let ctr = fresh_counters () in
-    let walk = make_walker ctr in
-    let sched_idx = ref 0 in
-    timed_check "refinement.check_random" (fun () ->
-        match
-          for i = first to last do
-            sched_idx := i;
-            walk i
-          done
-        with
-        | () -> Refinement_holds (snapshot ctr)
-        | exception Violation f ->
-          Refinement_violated ({ f with reason = prefix !sched_idx f.reason }, snapshot ctr)
-        | exception Budget -> Budget_exhausted (snapshot ctr))
-  | Some n ->
-    if n < 1 then invalid_arg "Refinement.check_random: domains must be >= 1";
-    (* Parallel walks: each walk gets its own counters and step budget and
-       always runs (no early stop), so merged stats and the reported
-       failure — the lowest-index failing walk — are identical for every
-       domain count. *)
-    timed_check "refinement.check_random" (fun () ->
+  timed_check "refinement.check_random" (fun () ->
+      let ctr = fresh_counters () in
+      match domains with
+      | None ->
+        (* Sequential: shared counters, cumulative step budget, stop at the
+           first failing walk. *)
+        let o = run first last ctr in
+        result_of (snapshot ctr) o
+      | Some n ->
+        (* Parallel walks: each walk gets its own counters and step budget
+           and always runs, so merged stats and the reported failure — the
+           lowest-index failing walk — are identical for every domain
+           count. *)
         Obs.Metrics.set Mx.domains_g (float_of_int n);
-        let n_walks = last - first + 1 in
-        let ctrs = Array.init n_walks (fun _ -> fresh_counters ()) in
-        let outcomes = Array.make n_walks I_ok in
-        let next = Atomic.make 0 in
-        let worker primary () =
-          let rec loop () =
-            let j = Atomic.fetch_and_add next 1 in
-            if j < n_walks then begin
-              if not primary then Obs.Metrics.inc Mx.steals;
-              let walk = make_walker ctrs.(j) in
-              outcomes.(j) <-
-                (match walk (first + j) with
-                | () -> I_ok
-                | exception Violation f -> I_viol f
-                | exception Budget -> I_budget);
-              loop ()
-            end
-          in
-          loop ()
+        let first_bad =
+          pool ~domains:n ~into:ctr (last - first + 1) (fun j c -> run (first + j) (first + j) c)
         in
-        let n_workers = min n (max 1 n_walks) in
-        let doms =
-          List.init (n_workers - 1) (fun _ -> Domain.spawn (fun () -> worker false ()))
-        in
-        worker true ();
-        List.iter Domain.join doms;
-        let merged = fresh_counters () in
-        Array.iter (fun c -> merge_into merged c) ctrs;
-        let stats = snapshot merged in
-        let rec scan j =
-          if j >= n_walks then Refinement_holds stats
-          else
-            match outcomes.(j) with
-            | I_viol f ->
-              Refinement_violated ({ f with reason = prefix (first + j) f.reason }, stats)
-            | I_budget -> Budget_exhausted stats
-            | I_ok -> scan (j + 1)
-        in
-        scan 0)
+        result_of (snapshot ctr) (Option.value first_bad ~default:I_ok))
 
 let check_random ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ?domains cfg =
   check_random_walks ~schedules ~first:1 ~last:schedules ~seed ~crash_prob ?domains cfg

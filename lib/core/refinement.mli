@@ -18,8 +18,16 @@
       behaviour").
 
     The checker tracks a set of linearization candidates (abstract state +
-    per-pending-operation status) through a depth-first exploration of every
-    schedule and crash point. *)
+    per-pending-operation status) along every path it explores.  One
+    exploration core steps the implementation: it settles finished
+    operations, enumerates the enabled thread steps (each through
+    {!Sched.Prog.next}) with their outcome and fault branches, and runs
+    crash → recovery (with nested crashes) → the spec crash transition →
+    post probes.  Every choice point is resolved by the driver: {!check}
+    explores every alternative depth-first (naively, or with partial-order
+    reduction, sequentially or split over domains), {!check_random} draws
+    one alternative per choice point from a seeded RNG.  Both drivers see
+    the same adversaries — crashes, disk faults and network events. *)
 
 module V := Tslang.Value
 module Spec := Tslang.Spec
@@ -237,11 +245,18 @@ val check_random :
   ('w, 's) config ->
   result
 (** Randomized exploration: [schedules] independent random walks through the
-    schedule/outcome/crash space, with the same linearization bookkeeping as
+    schedule/outcome/crash/fault space, over the same exploration core as
     {!check}.  Use on instances too large to exhaust — a reported violation
     is a real counterexample; a pass is evidence, not proof.  [crash_prob]
     is the per-step probability of injecting a crash (while the crash budget
-    lasts).  A failure's [reason] is prefixed ["[seed=S schedule=I/N] "].
+    lasts).  While a walk's fault budget (the config's [fault_budget])
+    lasts, each step's declared faults — network events included — are
+    extra alternatives of its outcome pick; at budget 0 a walk draws
+    exactly as it would with no fault declared.  The config's
+    [max_seconds] and [step_budget] bound the check as they bound
+    {!check}, and the [retries_observed] and [cache_hits] stats count
+    the committed steps of every walk.  A failure's [reason] is prefixed
+    ["[seed=S schedule=I/N] "].
 
     Walk [i] draws every choice — schedule picks, nondeterministic outcome
     picks, crash coins (including those flipped while recovery re-runs) —

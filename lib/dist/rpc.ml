@@ -111,9 +111,7 @@ let call ~get ~set ?(retries = 1) ?(send_seq = fun ~attempt:_ seq -> seq)
     encode_req { client; seq = send_seq ~attempt seq; op; args }
   in
   let backoff attempt =
-    P.read ~fp:(Fp.const Fp.pure)
-      (Printf.sprintf "retry_rpc(%s#%d)" op attempt)
-      (fun _ -> ())
+    Sched.Retry.marker (Printf.sprintf "%s_rpc(%s#%d)" Sched.Retry.retry_prefix op attempt)
   in
   let rec attempt n : ('w, V.t) P.t =
     let* () = Net.send_step ~get ~set req_chan (payload n) in

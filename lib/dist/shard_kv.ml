@@ -262,7 +262,7 @@ let serve ?(no_cache = false) p s : (world, V.t) P.t =
           | `Stale -> loop (fuel - 1) (* an older duplicate: drop silently *)
           | `Hit cached ->
             let* () =
-              P.read ~fp:(Fp.const Fp.pure) ("rpc_cache_hit(s" ^ sn ^ ")") (fun _ -> ())
+              Sched.Retry.marker (Sched.Retry.cache_hit_prefix ^ "(s" ^ sn ^ ")")
             in
             let* () =
               Net.send_step ~get:get_net ~set:set_net (reply_chan r.Rpc.client)
@@ -332,9 +332,8 @@ let acquire_retry p client : (world, int option) P.t =
       if n >= p.retries then P.return None
       else
         let* () =
-          P.read ~fp:(Fp.const Fp.pure)
-            (Printf.sprintf "retry_acquire(c%d#%d)" client (n + 1))
-            (fun _ -> ())
+          Sched.Retry.marker
+            (Printf.sprintf "%s_acquire(c%d#%d)" Sched.Retry.retry_prefix client (n + 1))
         in
         go (n + 1)
   in
@@ -568,8 +567,7 @@ module Hosted = struct
               (match cached_seq cached with
               | Some s0 when r.Rpc.seq = s0 ->
                 let* () =
-                  P.read ~fp:(Fp.const Fp.pure) ("rpc_cache_hit(s" ^ sn ^ ")")
-                    (fun _ -> ())
+                  Sched.Retry.marker (Sched.Retry.cache_hit_prefix ^ "(s" ^ sn ^ ")")
                 in
                 let* () = reply_to r V.unit in
                 loop (fuel - 1)

@@ -392,9 +392,6 @@ let run_op p label decide : (world, V.t) P.t =
   let* plan = P.read ~fp:(decide_fp p) label decide in
   finish p label plan
 
-let retry_step what : ('w, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
-
 (** Graceful-degradation wrapper: the allocator's bitmap read goes through
     the fallible disk op with bounded retry, and the transaction commits
     through {!Journal.Txn_log.commit_ft_prog} (abort before the commit
@@ -403,17 +400,11 @@ let retry_step what : ('w, unit) P.t =
 let run_op_ft p ?(retries = 1) label decide : (world, V.t) P.t =
   P.span ~cat:"fs" label
   @@ let* () = lock () in
-  let rec attempt n =
-    let* r = Disk.Single_disk.read_f ~get_disk (Layout.bitmap_addr p.lay) in
-    if Fault.is_eio r then
-      if n > 0 then
-        let* () = retry_step "fs_alloc" in
-        attempt (n - 1)
-      else P.return false
-    else P.return true
+  let* r =
+    Sched.Retry.retry ~bound:retries "fs_alloc" (fun () ->
+        Disk.Single_disk.read_f ~get_disk (Layout.bitmap_addr p.lay))
   in
-  let* ok = attempt retries in
-  if not ok then
+  if Option.is_none r then
     let* () = unlock () in
     P.return Fault.err_value
   else

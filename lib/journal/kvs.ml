@@ -315,16 +315,10 @@ let get_ft_prog ?(retries = 1) p k : (world, V.t) P.t =
     match V.get_opt buf with
     | Some v -> P.return v
     | None ->
-      let rec attempt n =
-        let* r = Disk.Single_disk.read_f ~get_disk k in
-        if Sched.Fault.is_eio r then
-          if n > 0 then
-            let* () = P.read ~fp:(Sched.Footprint.const Sched.Footprint.pure) "retry(get)" (fun _ -> ()) in
-            attempt (n - 1)
-          else P.return Sched.Fault.err_value
-        else P.return r
+      let* r =
+        Sched.Retry.retry ~bound:retries "get" (fun () -> Disk.Single_disk.read_f ~get_disk k)
       in
-      attempt retries
+      P.return (Option.value r ~default:Sched.Fault.err_value)
   in
   let* () = unlock k in
   P.return v

@@ -105,12 +105,6 @@ let commit_direct_prog ~get_disk ~set_disk ly entries : ('w, unit) P.t =
 module Fault = Sched.Fault
 module Fp = Sched.Footprint
 
-(* A retry iteration is marked by a pure no-op step whose label starts with
-   "retry" — the convention the checker's [retries_observed] stat counts.
-   It only exists on paths where a transient error already fired. *)
-let retry_step what : ('w, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
-
 (** Like {!commit_prog}, over the fallible disk ops.  Returns [V.unit] on
     success or {!Sched.Fault.err_value} on a clean abort.
 
@@ -140,45 +134,23 @@ let commit_ft_direct_prog ~get_disk ~set_disk ?(retries = 1) ly entries : ('w, V
            (fun i (a, b) -> [ (slot_addr ly i, int_block a); (slot_val ly i, b) ])
            entries)
     in
-    let bounded what n write =
-      let rec attempt n =
-        let* r = write () in
-        if Fault.is_eio r then
-          if n > 0 then
-            let* () = retry_step what in
-            attempt (n - 1)
-          else P.return false
-        else P.return true
-      in
-      attempt n
-    in
-    let unbounded what write =
-      let rec attempt () =
-        let* r = write () in
-        if Fault.is_eio r then
-          let* () = retry_step what in
-          attempt ()
-        else P.return ()
-      in
-      attempt ()
-    in
     let rec apply = function
       | [] -> P.return ()
       | (a, b) :: rest ->
-        let* () = unbounded "apply" (fun () -> dwf a b) in
+        let* _ = Sched.Retry.retry "apply" (fun () -> dwf a b) in
         apply rest
     in
-    let* logged = bounded "log" retries (fun () -> dwm slot_blocks) in
-    if not logged then P.return Fault.err_value
+    let* logged = Sched.Retry.retry ~bound:retries "log" (fun () -> dwm slot_blocks) in
+    if Option.is_none logged then P.return Fault.err_value
     else
       let* committed =
-        bounded "record" retries (fun () ->
+        Sched.Retry.retry ~bound:retries "record" (fun () ->
             dwf (rec_addr ly) (int_block (List.length entries)))
       in
-      if not committed then P.return Fault.err_value
+      if Option.is_none committed then P.return Fault.err_value
       else
         let* () = apply entries in
-        let* () = unbounded "clear" (fun () -> dwf (rec_addr ly) (int_block 0)) in
+        let* _ = Sched.Retry.retry "clear" (fun () -> dwf (rec_addr ly) (int_block 0)) in
         P.return V.unit
 
 (** Replay a committed-but-unapplied transaction, if any, then clear the
@@ -255,50 +227,29 @@ let commit_ft_wal_prog ~get_disk ~set_disk ?(retries = 1) ly entries : ('w, V.t)
   else
     P.span ~cat:"txn_log" "txn_commit_ft_wal"
     @@
-    let bounded what n write =
-      let rec attempt n =
-        let* r = write () in
-        if Fault.is_eio r then
-          if n > 0 then
-            let* () = retry_step what in
-            attempt (n - 1)
-          else P.return false
-        else P.return true
-      in
-      attempt n
-    in
-    let unbounded what write =
-      let rec attempt () =
-        let* r = write () in
-        if Fault.is_eio r then
-          let* () = retry_step what in
-          attempt ()
-        else P.return ()
-      in
-      attempt ()
-    in
     let rec apply = function
       | [] -> P.return ()
       | (a, b) :: rest ->
-        let* () = unbounded "apply" (fun () -> dwf a b) in
+        let* _ = Sched.Retry.retry "apply" (fun () -> dwf a b) in
         apply rest
     in
     let k = List.length entries in
     let* s, e, t = C.read_header ~get_disk c in
     let* logged =
-      bounded "log" retries (fun () -> C.write_records_f ~get_disk ~set_disk c ~pos:e entries)
+      Sched.Retry.retry ~bound:retries "log" (fun () ->
+          C.write_records_f ~get_disk ~set_disk c ~pos:e entries)
     in
-    if not logged then P.return Fault.err_value
+    if Option.is_none logged then P.return Fault.err_value
     else
       let* committed =
-        bounded "record" retries (fun () ->
+        Sched.Retry.retry ~bound:retries "record" (fun () ->
             C.install_header_f ~get_disk ~set_disk c ~start:s ~end_:(e + k) ~txns:(t + 1))
       in
-      if not committed then P.return Fault.err_value
+      if Option.is_none committed then P.return Fault.err_value
       else
         let* () = apply entries in
-        let* () =
-          unbounded "clear" (fun () ->
+        let* _ =
+          Sched.Retry.retry "clear" (fun () ->
               C.install_header_f ~get_disk ~set_disk c ~start:(e + k) ~end_:(e + k)
                 ~txns:(t + 1))
         in
@@ -458,16 +409,10 @@ let commit_txn_ft_prog ?backend ?retries ly entries : (world, V.t) P.t =
 let read_ft_prog ?(retries = 1) ly a : (world, V.t) P.t =
   ignore ly;
   let* () = lock () in
-  let rec attempt n =
-    let* r = Disk.Single_disk.read_f ~get_disk a in
-    if Fault.is_eio r then
-      if n > 0 then
-        let* () = retry_step "read" in
-        attempt (n - 1)
-      else P.return Fault.err_value
-    else P.return r
+  let* v =
+    Sched.Retry.retry ~bound:retries "read" (fun () -> Disk.Single_disk.read_f ~get_disk a)
   in
-  let* v = attempt retries in
+  let v = Option.value v ~default:Fault.err_value in
   let* () = unlock () in
   P.return v
 

@@ -94,19 +94,46 @@ let rec marks_of : type a. ('w, a) t -> mark list = function
   | Mark (m, p) -> m :: marks_of p
   | _ -> []
 
-let rec label_of : type a. ('w, a) t -> string option = function
-  | Done _ -> None
-  | Mark (_, p) -> label_of p
-  | Atomic { label; _ } -> Some label
+module Step = struct
+  type ('w, 'a) prog = ('w, 'a) t
 
-let rec footprint_of : type a. 'w -> ('w, a) t -> Footprint.t option =
- fun w -> function
-  | Done _ -> None
-  | Mark (_, p) -> footprint_of w p
-  | Atomic { fp; _ } -> Some (fp w)
+  type ('w, 'a) t =
+    | S : {
+        label : string;
+        pre : 'w;
+        outs : ('w * 'b) list;
+        fp : 'w -> Footprint.t;
+        faults : 'w -> (Fault.kind * 'w * 'b) list;
+        k : 'b -> ('w, 'a) prog;
+      }
+        -> ('w, 'a) t
 
-let rec fault_kinds_of : type a. 'w -> ('w, a) t -> Fault.kind list =
+  (* Top-level maps, so that resuming a step allocates no closure: every
+     explored step of every checker passes through here. *)
+  let rec resume k = function [] -> [] | (w', v) :: rest -> (w', k v) :: resume k rest
+
+  let rec resume_faults k = function
+    | [] -> []
+    | (kd, w', v) :: rest -> (kd, (w', k v)) :: resume_faults k rest
+
+  let label (S s) = s.label
+  let outcomes (S s) = resume s.k s.outs
+  let faults (S s) = resume_faults s.k (s.faults s.pre)
+  let footprint (S s) = s.fp s.pre
+end
+
+type ('w, 'a) next =
+  | Finished of 'a
+  | Blocked of string
+  | Undefined of { label : string; reason : string }
+  | Enabled of ('w, 'a) Step.t
+
+let rec next : type a. 'w -> ('w, a) t -> ('w, a) next =
  fun w -> function
-  | Done _ -> []
-  | Mark (_, p) -> fault_kinds_of w p
-  | Atomic { faults; _ } -> List.map (fun (kd, _, _) -> kd) (faults w)
+  | Done a -> Finished a
+  | Mark (_, p) -> next w p
+  | Atomic { label; fp; action; faults; k } ->
+    (match action w with
+    | Ub reason -> Undefined { label; reason }
+    | Steps [] -> Blocked label
+    | Steps outs -> Enabled (Step.S { label; pre = w; outs; fp; faults; k }))

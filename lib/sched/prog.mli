@@ -111,13 +111,39 @@ val strip_marks : ('w, 'a) t -> ('w, 'a) t
 val marks_of : ('w, 'a) t -> mark list
 (** The leading marks of a program, outermost first. *)
 
-val label_of : ('w, 'a) t -> string option
-(** Label of the next step, if the program is not finished. *)
+(** {2 One step of a program}
 
-val footprint_of : 'w -> ('w, 'a) t -> Footprint.t option
-(** Footprint of the next step in world [w], if the program is not
-    finished. *)
+    [next] is the one place an interpreter looks inside an [Atomic]: the
+    runner, the exhaustive checker and the random walker all step
+    programs through it. *)
 
-val fault_kinds_of : 'w -> ('w, 'a) t -> Fault.kind list
-(** Fault kinds the next step declares in world [w]; [[]] if finished or
-    fault-free.  A step with a non-empty list is a fault *site*. *)
+module Step : sig
+  type ('w, 'a) prog := ('w, 'a) t
+
+  type ('w, 'a) t
+  (** An enabled step: its action has been applied, once, to the world it
+      was probed in. *)
+
+  val label : ('w, 'a) t -> string
+
+  val outcomes : ('w, 'a) t -> ('w * ('w, 'a) prog) list
+  (** every normal outcome, non-empty, each applied to the continuation:
+      the post-world and the rest of the program *)
+
+  val faults : ('w, 'a) t -> (Fault.kind * ('w * ('w, 'a) prog)) list
+  (** the declared fault points in the probed world, applied likewise;
+      the step's fault function runs only when this is called *)
+
+  val footprint : ('w, 'a) t -> Footprint.t
+  (** the footprint in the probed world; computed only when asked *)
+end
+
+type ('w, 'a) next =
+  | Finished of 'a
+  | Blocked of string  (** the label of the blocked step *)
+  | Undefined of { label : string; reason : string }
+  | Enabled of ('w, 'a) Step.t
+
+val next : 'w -> ('w, 'a) t -> ('w, 'a) next
+(** [next w p] looks at [p]'s next step in world [w], skipping leading
+    marks; the step's action runs exactly once. *)

@@ -54,10 +54,6 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
   in
   let fixed = ref (match policy with Fixed l -> l | Round_robin | Random _ -> []) in
   let rr = ref 0 in
-  (* A thread is runnable if unfinished and its next action is not blocked. *)
-  (* Returns the next step of thread [i] as (label, outcome count, commit):
-     [commit idx] applies outcome [idx] and resumes the continuation.  The
-     closure keeps the step's existential payload type from escaping. *)
   (* Marks are free: consume every pending span annotation on thread [i]
      (emitting begin/end events and per-layer latency observations) before
      looking at its next real step. *)
@@ -84,42 +80,19 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
       consume_marks i
     | Running _ | Finished _ -> ()
   in
-  let step_of i =
-    consume_marks i;
+  (* Each unfinished thread is probed once per scheduling step: its action
+     runs in the current world, and the chosen thread commits from that
+     same probe. *)
+  let probe i =
     match states.(i) with
     | Finished _ -> None
-    | Running (Prog.Done v) ->
-      states.(i) <- Finished v;
-      None
-    | Running (Prog.Mark _) -> assert false (* consumed above *)
-    | Running (Prog.Atomic { label; fp; action; faults; k }) ->
-      (match action !world with
-      | Prog.Ub reason ->
+    | Running p ->
+      (match Prog.next !world p with
+      | Prog.Enabled s -> Some (i, s)
+      | Prog.Blocked _ -> None
+      | Prog.Undefined { label; reason } ->
         raise (Undefined_behaviour (Printf.sprintf "thread %d at %s: %s" i label reason))
-      | Prog.Steps [] -> None (* blocked *)
-      | Prog.Steps outs ->
-        let fp = fp !world in
-        let flts = faults !world in
-        (* [commit idx] applies normal outcome [idx]; [commit_fault kind]
-           applies the declared fault of that kind instead, returning false
-           if the step does not declare it (the injection is then skipped
-           and the normal outcome commits). *)
-        let commit idx =
-          let w', v = List.nth outs idx in
-          world := w';
-          states.(i) <- Running (k v)
-        in
-        let commit_fault kind =
-          match
-            List.find_opt (fun (kd, _, _) -> Fault.equal_kind kd kind) flts
-          with
-          | None -> false
-          | Some (_, w', v) ->
-            world := w';
-            states.(i) <- Running (k v);
-            true
-        in
-        Some (label, fp, List.length outs, flts <> [], commit, commit_fault))
+      | Prog.Finished _ -> assert false (* [unfinished] retired it *))
   in
   let unfinished () =
     let acc = ref [] in
@@ -155,46 +128,58 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
     match unfinished () with
     | [] -> ()
     | pending ->
-      let runnable = List.filter (fun i -> step_of i <> None) pending in
-      (match runnable with
+      (match List.filter_map probe pending with
       | [] ->
         raise
           (Deadlock
              (Printf.sprintf "threads %s blocked"
                 (String.concat "," (List.map string_of_int pending))))
-      | _ ->
-        let i = pick runnable in
-        (match step_of i with
-        | None -> ()
-        | Some (label, fp, n_outs, fault_eligible, commit, commit_fault) ->
-          let fault_fired =
-            if not fault_eligible then false
-            else begin
-              let here = !site in
-              incr site;
-              match
-                List.find_opt (fun (inj : Fault.injection) -> inj.at = here)
-                  fault_schedule
-              with
-              | Some inj when commit_fault inj.kind ->
+      | runnable ->
+        let i = pick (List.map fst runnable) in
+        let s = List.assoc i runnable in
+        let commit (w', p') =
+          world := w';
+          states.(i) <- Running p'
+        in
+        (* The fault oracle numbers the committed steps that declare fault
+           points; with no schedule nothing can fire, so the declared faults
+           are never evaluated. *)
+        let fault_fired =
+          fault_schedule <> []
+          &&
+          match Prog.Step.faults s with
+          | [] -> false
+          | flts ->
+            let here = !site in
+            incr site;
+            (match
+               List.find_opt (fun (inj : Fault.injection) -> inj.at = here) fault_schedule
+             with
+            | None -> false
+            | Some inj ->
+              (match List.find_opt (fun (kd, _) -> Fault.equal_kind kd inj.kind) flts with
+              | None -> false (* undeclared kind: the injection is skipped *)
+              | Some (_, out) ->
+                commit out;
                 injected := (here, inj.kind) :: !injected;
-                true
-              | Some _ | None -> false
-            end
+                true))
+        in
+        if not fault_fired then begin
+          let outs = Prog.Step.outcomes s in
+          let idx =
+            match rng with
+            | Some st -> Random.State.int st (List.length outs)
+            | None -> 0
           in
-          if not fault_fired then begin
-            let idx =
-              match rng with Some st -> Random.State.int st n_outs | None -> 0
-            in
-            commit idx
-          end;
-          fps := fp :: !fps;
-          trace := (i, label) :: !trace;
-          incr steps;
-          per_thread.(i) <- per_thread.(i) + 1;
-          if !last_ran >= 0 && !last_ran <> i then incr switches;
-          last_ran := i;
-          if !steps > max_steps then failwith "Runner.run: step budget exceeded");
+          commit (List.nth outs idx)
+        end;
+        fps := Prog.Step.footprint s :: !fps;
+        trace := (i, Prog.Step.label s) :: !trace;
+        incr steps;
+        per_thread.(i) <- per_thread.(i) + 1;
+        if !last_ran >= 0 && !last_ran <> i then incr switches;
+        last_ran := i;
+        if !steps > max_steps then failwith "Runner.run: step budget exceeded";
         rr := (i + 1) mod n;
         loop ())
   in

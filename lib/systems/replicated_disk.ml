@@ -162,13 +162,6 @@ module Fp = Sched.Footprint
 let disk_read_f id a = Disk.Two_disk.read_f ~get:get_disks ~set:set_disks id a
 let disk_write_f id a b = Disk.Two_disk.write_f ~get:get_disks ~set:set_disks id a b
 
-(* A retry iteration is marked by a pure no-op step whose label starts with
-   "retry" — the convention the checker's [retries_observed] stat counts.
-   The step only exists on paths where a transient error already fired, so
-   it costs nothing in the fault-free state space. *)
-let retry_step what : (world, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
-
 (* Permanently decommission [id] IF the other disk is still alive (degraded
    mode: the survivor carries the logical disk from here on); returns
    whether it did.  Reads and writes the same durable status location the
@@ -196,22 +189,18 @@ let read_ft_prog ?(retries = 1) a : (world, V.t) P.t =
     let* () = unlock a in
     P.return v
   in
-  let rec attempt id alt n =
-    let* r = disk_read_f id a in
-    if Fault.is_eio r then
-      if n > 0 then
-        let* () = retry_step (Fmt.str "read %a" Disk.Two_disk.pp_id id) in
-        attempt id alt (n - 1)
-      else next alt
-    else
-      match V.get_opt r with
-      | Some v -> finish v
-      | None -> next alt (* permanent failure: fail over *)
-  and next = function
-    | Some id2 -> attempt id2 None retries
-    | None -> finish Fault.err_value
+  let rec attempt id alt =
+    let* r =
+      Sched.Retry.retry ~bound:retries (Fmt.str "read %a" Disk.Two_disk.pp_id id) (fun () ->
+          disk_read_f id a)
+    in
+    match Option.bind r V.get_opt with
+    | Some v -> finish v
+    | None -> (
+      (* retries exhausted, or permanent failure: fail over *)
+      match alt with Some id2 -> attempt id2 None | None -> finish Fault.err_value)
   in
-  attempt d1 (Some d2) retries
+  attempt d1 (Some d2)
 
 (* func rd_write_ft(a, v): write d1 then d2 through the fallible ops, each
    with bounded retry.  A disk that keeps erroring transiently while the
@@ -229,19 +218,14 @@ let write_ft_prog ?(retries = 1) a v : (world, V.t) P.t =
     P.return r
   in
   let write_one id =
-    let rec attempt n =
-      let* r = disk_write_f id a b in
-      if Fault.is_eio r then
-        if n > 0 then
-          let* () = retry_step (Fmt.str "write %a" Disk.Two_disk.pp_id id) in
-          attempt (n - 1)
-        else P.return `Gave_up
-      else
-        match V.get_opt r with
-        | Some _ -> P.return `Persisted
-        | None -> P.return `Dead
+    let+ r =
+      Sched.Retry.retry ~bound:retries (Fmt.str "write %a" Disk.Two_disk.pp_id id) (fun () ->
+          disk_write_f id a b)
     in
-    attempt retries
+    match Option.map V.get_opt r with
+    | None -> `Gave_up
+    | Some None -> `Dead
+    | Some (Some _) -> `Persisted
   in
   let* r1 = write_one d1 in
   let* proceed =

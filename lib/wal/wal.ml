@@ -220,18 +220,6 @@ let buf_writes = Fp.const (Fp.writes [ Fp.cell "walbuf" ])
 
 open P.Syntax
 
-let retry_step what : ('w, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
-
-let unbounded what write : ('w, unit) P.t =
-  let rec attempt () =
-    let* r = write () in
-    if Fault.is_eio r then
-      let* () = retry_step what in
-      attempt ()
-    else P.return ()
-  in
-  attempt ()
 
 (** Apply the live ring records home and trim — the installer's body.
     Caller holds the WAL lock. *)
@@ -244,14 +232,17 @@ let install_body p : (world, unit) P.t =
       if pos >= e then P.return ()
       else
         let* a, b = Circ.read_record ~get_disk c pos in
-        let* () =
-          unbounded "install" (fun () -> Disk.Single_disk.write_f ~get_disk ~set_disk a b)
+        let* _ =
+          Sched.Retry.retry "install" (fun () -> Disk.Single_disk.write_f ~get_disk ~set_disk a b)
         in
         go (pos + 1)
     in
     let* () = go s in
-    unbounded "trim" (fun () ->
-        Circ.install_header_f ~get_disk ~set_disk c ~start:e ~end_:e ~txns:t)
+    let* _ =
+      Sched.Retry.retry "trim" (fun () ->
+          Circ.install_header_f ~get_disk ~set_disk c ~start:e ~end_:e ~txns:t)
+    in
+    P.return ()
 
 (** Drain the whole buffer to the ring, batch by batch — the logger's
     body, also run inline by [flush].  Installs inline when the ring is
@@ -271,13 +262,13 @@ let rec drain p : (world, unit) P.t =
     else
       let txns = take k buf in
       let records = batch_records p txns in
-      let* () =
-        unbounded "log" (fun () ->
+      let* _ =
+        Sched.Retry.retry "log" (fun () ->
             Circ.write_records_f ~get_disk ~set_disk c ~pos:e records)
       in
       (* group commit: ONE header install covers all k transactions *)
-      let* () =
-        unbounded "header" (fun () ->
+      let* _ =
+        Sched.Retry.retry "header" (fun () ->
             Circ.install_header_f ~get_disk ~set_disk c ~start:s
               ~end_:(e + List.length records)
               ~txns:(t + k))

@@ -8,7 +8,10 @@
      fault visible in the counterexample;
    - one golden fault counterexample, byte-for-byte identical under all
      three exploration strategies;
-   - the [?max_seconds] wall-clock budget. *)
+   - the random walker injecting declared faults while a walk's budget
+     lasts, and counting retries;
+   - the [?max_seconds] wall-clock budget, for [check] and
+     [check_random]. *)
 
 module V = Tslang.Value
 module R = Perennial_core.Refinement
@@ -215,6 +218,27 @@ let test_bugs_all_strategies () =
                  [ [ K.Buggy.put_ft_call_swallow_apply p 0 (bv "A"); K.get_call p 0 ] ]))))
     E.all_strategies
 
+(* The random walker sees disk faults too: while a walk's fault budget
+   lasts, a step's declared faults are alternatives of its outcome pick.
+   Seed 17 catches the retry-without-re-read bug within 20 walks, and the
+   retry steps of the honest ops show up in the walk stats. *)
+let test_rd_no_retry_caught_by_walks () =
+  let f =
+    expect_violated "rd retry-without-re-read, random walks"
+      (R.check_random ~seed:17 ~schedules:20
+         (RD.checker_config ~may_fail:false ~size:1 ~max_crashes:0 ~fault_budget:1
+            [ [ RD.write_call 0 (bv "x"); RD.Buggy.read_ft_call_no_retry 0 ] ]))
+  in
+  assert_fault_in_lanes "rd retry-without-re-read, random walks" f;
+  let stats =
+    expect_holds "rd ft write || ft read, random walks"
+      (R.check_random ~seed:17 ~schedules:200
+         (RD.checker_config ~size:1 ~max_crashes:1 ~fault_budget:2
+            [ [ RD.write_ft_call 0 (bv "x") ]; [ RD.read_ft_call 0 ] ]))
+  in
+  Alcotest.(check bool) "walks inject faults" true (stats.R.faults_injected > 0);
+  Alcotest.(check bool) "walks observe retries" true (stats.R.retries_observed > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Golden fault counterexample (all three strategies)                   *)
 (* ------------------------------------------------------------------ *)
@@ -279,6 +303,21 @@ let test_max_seconds () =
        (R.check ~max_seconds:300.
           (RD.checker_config ~size:1 ~max_crashes:0 [ [ RD.read_call 0 ] ])))
 
+(* The random checker polls the same wall-clock budget, from the config. *)
+let test_max_seconds_random () =
+  match
+    R.check_random ~schedules:200
+      {
+        (RD.checker_config ~size:2 ~max_crashes:1
+           [ [ RD.write_call 0 (bv "x") ]; [ RD.read_call 0 ] ])
+        with
+        R.max_seconds = Some 0.;
+      }
+  with
+  | R.Budget_exhausted _ -> ()
+  | R.Refinement_holds _ | R.Refinement_violated _ ->
+    Alcotest.fail "expected check_random Budget_exhausted under max_seconds = 0."
+
 let suite =
   [
     Alcotest.test_case "enumerate: budget semantics" `Quick test_enumerate_budget;
@@ -294,6 +333,9 @@ let suite =
     Alcotest.test_case "bug: torn commit record caught" `Quick test_journal_torn_commit_caught;
     Alcotest.test_case "bug: swallowed apply error caught" `Quick test_kvs_swallow_apply_caught;
     Alcotest.test_case "bugs: caught under every strategy" `Quick test_bugs_all_strategies;
+    Alcotest.test_case "bug: rd retry-without-re-read caught by walks" `Quick
+      test_rd_no_retry_caught_by_walks;
     Alcotest.test_case "golden: fault counterexample" `Quick test_golden_fault_counterexample;
     Alcotest.test_case "max_seconds: wall-clock budget" `Quick test_max_seconds;
+    Alcotest.test_case "max_seconds: random checker" `Quick test_max_seconds_random;
   ]

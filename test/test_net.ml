@@ -418,6 +418,17 @@ let test_bug_no_cache_caught () =
   let f = expect_violated "no-cache double execution" (R.check (bug1_config ())) in
   assert_in_lanes "no-cache double execution" "FAULT" f
 
+(* The random walker sees the network adversary too: while a walk's fault
+   budget lasts, each step's declared network events are alternatives of
+   its outcome pick, so seeded walks find the duplicate that the cacheless
+   server re-executes — within 20 walks at seed 17. *)
+let test_bug_no_cache_caught_by_walks () =
+  let f =
+    expect_violated "no-cache double execution, random walks"
+      (R.check_random ~seed:17 ~schedules:20 (bug1_config ()))
+  in
+  assert_in_lanes "no-cache double execution, random walks" "FAULT" f
+
 (* Bug #2 — retry without a sequence number: the raw retry cannot be
    recognized as a duplicate, so its write (and its unmatchable reply)
    interferes with the client's later operations and the stale write
@@ -542,6 +553,8 @@ let suite =
     Alcotest.test_case "net: coverage sites per channel x kind" `Quick test_net_coverage_sites;
     Alcotest.test_case "bug: duplicate double-executes without cache" `Quick
       test_bug_no_cache_caught;
+    Alcotest.test_case "bug: duplicate double-executes, random walks" `Quick
+      test_bug_no_cache_caught_by_walks;
     Alcotest.test_case "bug: raw retry lets stale write win" `Quick test_bug_raw_retry_caught;
     Alcotest.test_case "bug: zombie write without fence" `Quick test_bug_no_fence_caught;
     Alcotest.test_case "golden: dup without cache" `Quick test_golden_bug_no_cache;

@@ -44,17 +44,26 @@ let exhaustive : (string * (E.strategy -> ?domains:int -> unit -> R.result)) lis
   let chk ?faults cfg strategy ?domains () = R.check ~strategy ?faults ?domains cfg in
   [
     ( "kvs put || get + crash",
-      chk (K.checker_config kp ~max_crashes:1 [ [ K.put_call kp 0 (V.str "A") ]; [ K.get_call kp 1 ] ]) );
+      chk
+        (K.checker_config kp ~max_crashes:1
+           [ [ K.put_call kp 0 (V.str "A") ]; [ K.get_call kp 1 ] ]) );
     ( "kvs txn + 2 crashes, step budget 400",
       chk
-        { (K.checker_config kp ~max_crashes:2 [ [ K.txn_call kp [ (0, b "A"); (1, b "B") ] ] ]) with
-          R.step_budget = 400 } );
+        {
+          (K.checker_config kp ~max_crashes:2 [ [ K.txn_call kp [ (0, b "A"); (1, b "B") ] ] ])
+          with
+          R.step_budget = 400;
+        } );
     ( "wal mwrite || logger + crash",
-      chk (W.checker_config wp ~max_crashes:1 [ [ W.mwrite_call wp [ (0, b "A") ] ]; [ W.logger_call wp ] ]) );
+      chk
+        (W.checker_config wp ~max_crashes:1
+           [ [ W.mwrite_call wp [ (0, b "A") ] ]; [ W.logger_call wp ] ]) );
     ( "wal seeded installer trim-first",
       chk
         (W.checker_config wp ~max_crashes:1
-           [ [ W.mwrite_call wp [ (0, b "A") ]; W.flush_call wp 1; W.Buggy.installer_call_trim_first wp ] ]) );
+           [ [ W.mwrite_call wp [ (0, b "A") ];
+               W.flush_call wp 1;
+               W.Buggy.installer_call_trim_first wp ] ]) );
     ( "fs ft create; ft append + crash, faults 1",
       chk ~faults:1
         (Fs.checker_config fp ~dirs:[ "a" ] ~files:[ ("a", "f", "x") ]
@@ -76,11 +85,13 @@ let exhaustive : (string * (E.strategy -> ?domains:int -> unit -> R.result)) lis
     ( "net put + crash, net 1",
       chk
         (SK.checker_config p0 ~max_crashes:1 ~fault_budget:1
-           [ [ SK.nput_call p0 ~client:0 ~seq:0 0 (V.str "A"); SK.bye_call ]; [ SK.srv_call p0 0 ] ]) );
+           [ [ SK.nput_call p0 ~client:0 ~seq:0 0 (V.str "A"); SK.bye_call ];
+             [ SK.srv_call p0 0 ] ]) );
     ( "net seeded srv no cache, net 1",
       chk
         (SK.checker_config p0 ~max_crashes:0 ~fault_budget:1
-           [ [ SK.Buggy.srv_call_no_cache p0 0 ]; [ SK.ninc_call p0 ~client:0 ~seq:0 0; SK.bye_call ] ]) );
+           [ [ SK.Buggy.srv_call_no_cache p0 0 ];
+             [ SK.ninc_call p0 ~client:0 ~seq:0 0; SK.bye_call ] ]) );
     ( "net seeded lease without fence",
       chk
         (SK.checker_config pl ~max_crashes:0 ~fault_budget:0
@@ -89,8 +100,12 @@ let exhaustive : (string * (E.strategy -> ?domains:int -> unit -> R.result)) lis
              [ SK.expire_call ] ]) );
     ( "mailboat deliver || deliver + crash, step budget 20000",
       chk
-        { (M.checker_config ~users:1 ~max_crashes:1 [ [ M.deliver_call 0 "a" ]; [ M.deliver_call 0 "b" ] ]) with
-          R.step_budget = 20_000 } );
+        {
+          (M.checker_config ~users:1 ~max_crashes:1
+             [ [ M.deliver_call 0 "a" ]; [ M.deliver_call 0 "b" ] ])
+          with
+          R.step_budget = 20_000;
+        } );
   ]
 
 (* Fingerprint pruning is naive-only: pinned separately. *)
@@ -109,7 +124,8 @@ let fingerprinted : (string * (?domains:int -> unit -> R.result)) list =
     ( "mailboat deliver || deliver",
       fun ?domains () ->
         R.check ~fingerprint:true ?domains
-          (M.checker_config ~users:1 ~max_crashes:0 [ [ M.deliver_call 0 "a" ]; [ M.deliver_call 0 "b" ] ]) );
+          (M.checker_config ~users:1 ~max_crashes:0
+             [ [ M.deliver_call 0 "a" ]; [ M.deliver_call 0 "b" ] ]) );
   ]
 
 (* Random walks at fault budget 0. *)
@@ -129,7 +145,8 @@ let walks : (string * (unit -> R.result)) list =
     ( "random kvs put || get 200 walks seed 5, crash 0.2",
       fun () ->
         R.check_random ~schedules:200 ~seed:5 ~crash_prob:0.2
-          (K.checker_config kp ~max_crashes:2 [ [ K.put_call kp 0 (V.str "A") ]; [ K.get_call kp 0 ] ]) );
+          (K.checker_config kp ~max_crashes:2
+             [ [ K.put_call kp 0 (V.str "A") ]; [ K.get_call kp 0 ] ]) );
     ( "random rd unlocked writes 800 walks, domains 2",
       fun () ->
         R.check_random ~schedules:800 ~crash_prob:0.0 ~domains:2
