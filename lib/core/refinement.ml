@@ -203,12 +203,13 @@ type result =
 (* Observability                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Registry handles are resolved once here; the hot exploration loop only
-   touches its own [counters] array, and the totals are added to the
-   registry in one [snapshot] call per check — with no sink installed the
-   per-step cost of observability is zero.  Trace spans (phases) and
-   instants (crash injections) are emitted live, gated on
-   [Obs.Trace.enabled]. *)
+(* Registry handles are resolved once here; the hot exploration loop and
+   the tracker only touch their instance's own [counters] array (the
+   candidate-set-size histogram included, tallied per bucket), and the
+   totals are added to the registry in one [snapshot] call per check —
+   with no sink installed the per-step cost of observability is zero.
+   Trace spans (phases) and instants (crash injections) are emitted live,
+   gated on [Obs.Trace.enabled]. *)
 module Mx = struct
   open Obs.Metrics
 
@@ -226,6 +227,11 @@ module Mx = struct
   (** work items executed by a non-primary domain — timing-dependent, never
       part of deterministic {!stats} *)
 
+  let memo_hits = counter "perennial_refinement_tracker_memo_hits_total"
+  (** responses the tracker answered from its memo, added once per engine
+      instance — they depend on the work partition, so like [steals] they
+      are never part of deterministic {!stats} *)
+
   let check_seconds = histogram "perennial_refinement_check_seconds"
   let explore_us = gauge ~labels:[ ("phase", "explore") ] "perennial_refinement_phase_us"
 end
@@ -233,10 +239,13 @@ end
 (* The per-check counters, defined once.  Each row names the registry
    metric the counter feeds and how engine instances combine: [Sum] counts
    add, [Max] high-water marks take the max, [Time] accumulates a phase's
-   wall time in nanoseconds.  A [counters] value is one int per row, owned
-   by one engine instance (the whole-run engine, the splitting phase, one
-   parallel work item or walk) and never shared between domains — merged
-   with [merge_into] and snapshotted into [stats] once per check.
+   wall time in nanoseconds, and [Tally] counts add like [Sum] but reach
+   the registry through [snapshot]'s own code (the candidate-set-size
+   histogram: one row per bucket plus one for the sum).  A [counters]
+   value is one int per row, owned by one engine instance (the whole-run
+   engine, the splitting phase, one parallel work item or walk) and never
+   shared between domains — merged with [merge_into] and snapshotted into
+   [stats] once per check.
 
    [fault_schedules] increments only on globally-fresh schedule keys (the
    shared seen-table in [run_instance]), so the sum over instances is the
@@ -245,7 +254,7 @@ end
 module C = struct
   open Obs.Metrics
 
-  type row = Sum of counter | Max of gauge | Time of gauge
+  type row = Sum of counter | Max of gauge | Time of gauge | Tally
 
   let rows = ref []
 
@@ -258,6 +267,8 @@ module C = struct
   let crashes_injected = def (Sum (counter "perennial_refinement_crash_injections_total"))
   let vacuous = def (Sum (counter "perennial_refinement_vacuous_prunes_total"))
   let max_candidates = def (Max (gauge "perennial_refinement_max_candidates"))
+  (* candidates the tracker derived, by closure or the crash transition,
+     that were already in the set (see {!Tracker.counts}) *)
   let dedup_hits = def (Sum (counter "perennial_refinement_dedup_hits_total"))
   let frontier_hwm = def (Max (gauge "perennial_refinement_frontier_depth_hwm"))
   let commutations_pruned = def (Sum Explore.Mx.commutations)
@@ -274,6 +285,10 @@ module C = struct
     def (Time (gauge ~labels:[ ("phase", "recovery") ] "perennial_refinement_phase_us"))
 
   let post_ns = def (Time (gauge ~labels:[ ("phase", "post") ] "perennial_refinement_phase_us"))
+
+  (* one observation per tracker call that produced a set *)
+  let cand_size_buckets = Array.init (bucket_count Mx.cand_sizes) (fun _ -> def Tally)
+  let cand_size_sum = def Tally
   let table = Array.of_list (List.rev !rows)
 end
 
@@ -288,7 +303,7 @@ let merge_into (dst : counters) (src : counters) =
       dst.(i) <-
         (match row with
         | C.Max _ -> max dst.(i) src.(i)
-        | C.Sum _ | C.Time _ -> dst.(i) + src.(i)))
+        | C.Sum _ | C.Time _ | C.Tally -> dst.(i) + src.(i)))
     C.table
 
 let snapshot (ctr : counters) =
@@ -297,8 +312,12 @@ let snapshot (ctr : counters) =
       match row with
       | C.Sum m -> Obs.Metrics.inc ~by:ctr.(i) m
       | C.Max g -> Obs.Metrics.record_max g (float_of_int ctr.(i))
-      | C.Time g -> Obs.Metrics.add g (float_of_int ctr.(i) /. 1000.))
+      | C.Time g -> Obs.Metrics.add g (float_of_int ctr.(i) /. 1000.)
+      | C.Tally -> ())
     C.table;
+  Obs.Metrics.add_counts Mx.cand_sizes
+    (Array.map (fun i -> ctr.(i)) C.cand_size_buckets)
+    ~sum:(float_of_int ctr.(C.cand_size_sum));
   {
     executions = ctr.(C.executions);
     steps = ctr.(C.steps);
@@ -348,14 +367,6 @@ let timed_check name f =
 exception Violation of failure
 exception Budget
 
-(* A pending-or-linearized operation on the spec side.  [result = None]
-   means not yet linearized. *)
-type pending = { ptid : int; pcall : Spec.call; result : V.t option }
-
-(* A linearization candidate: one way the spec could have explained the
-   execution so far. *)
-type 's cand = { st : 's; pend : pending list (* sorted by ptid *) }
-
 (* A running thread: its current operation, its program position, and the
    operations it has yet to invoke. *)
 type 'w live = {
@@ -364,168 +375,6 @@ type 'w live = {
   prog : ('w, V.t) Sched.Prog.t;
   rest : (Spec.call * ('w, V.t) Sched.Prog.t) list;
 }
-
-(* Spec-level undefined behaviour reachable: obligations become vacuous. *)
-exception Vacuous
-
-(* ------------------------------------------------------------------ *)
-(* Candidate tracking, shared by the exhaustive and randomized checkers *)
-(* ------------------------------------------------------------------ *)
-
-type 's tracker = {
-  saturate : 's cand list -> 's cand list;
-      (** close under linearizing any pending operation; raises [Vacuous]
-          on reachable spec-level undefined behaviour *)
-  add_pending : int -> Spec.call -> 's cand list -> 's cand list;
-  respond : int -> V.t -> event list -> 's cand list -> 's cand list;
-      (** filter candidates by an observed response; raises [Violation] *)
-  crash_cands : event list -> 's cand list -> 's cand list;
-      (** apply the atomic spec crash transition, dropping in-flight ops;
-          raises [Violation] if unsatisfiable *)
-}
-
-(* [live] gates the stat/coverage side effects: during work-item replay the
-   tracker must recompute candidate sets without re-counting what the
-   splitting phase already counted. *)
-let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) :
-    s tracker =
-  let compare_pending a b =
-    let c = Int.compare a.ptid b.ptid in
-    if c <> 0 then c
-    else
-      let c = String.compare a.pcall.Spec.op b.pcall.Spec.op in
-      if c <> 0 then c
-      else
-        let c = List.compare V.compare a.pcall.Spec.args b.pcall.Spec.args in
-        if c <> 0 then c else Option.compare V.compare a.result b.result
-  in
-  let compare_cand c1 c2 =
-    let c = spec.Spec.compare_state c1.st c2.st in
-    if c <> 0 then c else List.compare compare_pending c1.pend c2.pend
-  in
-  let dedup cands =
-    let n0 = List.length cands in
-    let sorted = List.sort_uniq compare_cand cands in
-    if !live then begin
-      let n = List.length sorted in
-      ctr.(C.dedup_hits) <- ctr.(C.dedup_hits) + (n0 - n);
-      Obs.Metrics.observe Mx.cand_sizes (float_of_int n);
-      if n > ctr.(C.max_candidates) then ctr.(C.max_candidates) <- n
-    end;
-    sorted
-  in
-  let saturate cands =
-    let seen = ref (dedup cands) in
-    let rec grow frontier =
-      let fresh = ref [] in
-      List.iter
-        (fun c ->
-          List.iter
-            (fun p ->
-              match p.result with
-              | Some _ -> ()
-              | None ->
-                if Spec.op_has_undefined spec c.st p.pcall then raise Vacuous;
-                List.iter
-                  (fun (st', v) ->
-                    let pend =
-                      List.map
-                        (fun q -> if q.ptid = p.ptid then { q with result = Some v } else q)
-                        c.pend
-                    in
-                    let c' = { st = st'; pend } in
-                    if
-                      not
-                        (List.exists (fun x -> compare_cand x c' = 0) !seen
-                        || List.exists (fun x -> compare_cand x c' = 0) !fresh)
-                    then fresh := c' :: !fresh)
-                  (Spec.op_outcomes spec c.st p.pcall))
-            c.pend)
-        frontier;
-      match !fresh with
-      | [] -> ()
-      | fs ->
-        seen := dedup (fs @ !seen);
-        grow fs
-    in
-    grow !seen;
-    !seen
-  in
-  (* Spec-arm coverage: each invocation registers the outcome arms the spec
-     offers in the invoking state ([<system>:<op>:ok|err], DESIGN.md S20);
-     each response hits the arm it actually took.  An arm registered but
-     never hit — an error arm under fault budget 0, say — is vacuous. *)
-  let arm_site call cls = spec.Spec.name ^ ":" ^ call.Spec.op ^ ":" ^ cls in
-  let arm_class v = if Sched.Fault.is_eio v then "err" else "ok" in
-  let register_arms call cands =
-    if !live && Obs.Coverage.enabled () then
-      match cands with
-      | [] -> ()
-      | c :: _ ->
-        if not (Spec.op_has_undefined spec c.st call) then
-          List.iter
-            (fun (_, v) ->
-              Obs.Coverage.register Obs.Coverage.Arm (arm_site call (arm_class v)))
-            (Spec.op_outcomes spec c.st call)
-  in
-  let hit_arm tid v cands =
-    if !live && Obs.Coverage.enabled () then
-      let rec find = function
-        | [] -> None
-        | c :: rest ->
-          (match List.find_opt (fun p -> p.ptid = tid) c.pend with
-          | Some p -> Some p.pcall
-          | None -> find rest)
-      in
-      match find cands with
-      | Some call -> Obs.Coverage.hit Obs.Coverage.Arm (arm_site call (arm_class v))
-      | None -> ()
-  in
-  let add_pending tid call cands =
-    register_arms call cands;
-    List.map
-      (fun c ->
-        { c with
-          pend =
-            List.sort compare_pending
-              ({ ptid = tid; pcall = call; result = None } :: c.pend)
-        })
-      cands
-  in
-  let respond tid v trace cands =
-    hit_arm tid v cands;
-    let sat = saturate cands in
-    let kept =
-      List.filter_map
-        (fun c ->
-          match List.find_opt (fun p -> p.ptid = tid) c.pend with
-          | Some { result = Some v'; _ } when V.equal v v' ->
-            Some { c with pend = List.filter (fun p -> p.ptid <> tid) c.pend }
-          | Some _ | None -> None)
-        sat
-    in
-    match dedup kept with
-    | [] ->
-      raise
-        (Violation
-           (mk_failure
-              (Fmt.str "no linearization explains thread %d returning %a" tid V.pp v)
-              trace))
-    | cs -> cs
-  in
-  let crash_cands trace cands =
-    let crashed =
-      List.concat_map
-        (fun c ->
-          List.map (fun st' -> { st = st'; pend = [] }) (Spec.crash_outcomes spec c.st))
-        cands
-    in
-    match dedup crashed with
-    | [] ->
-      raise (Violation (mk_failure "spec crash transition unsatisfiable" trace))
-    | cs -> cs
-  in
-  { saturate; add_pending; respond; crash_cands }
 
 (* ------------------------------------------------------------------ *)
 (* The exploration core                                                 *)
@@ -586,8 +435,29 @@ type driver =
 let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadline ~step_base
     ~sched_seen ~sched_lock ~(ctr : counters) : inst_outcome =
   let spec = cfg.spec in
+  (* [counting] gates the tracker's counts and coverage: during work-item
+     replay it recomputes candidate sets without re-counting what the
+     splitting phase already counted. *)
   let counting = ref true in
-  let tk = make_tracker spec ctr ~live:counting in
+  let tk =
+    Tracker.create spec ~live:counting ~count:(fun (c : Tracker.counts) ->
+        ctr.(C.dedup_hits) <- ctr.(C.dedup_hits) + c.dedup_hits;
+        if c.max_size > ctr.(C.max_candidates) then ctr.(C.max_candidates) <- c.max_size;
+        match c.produced with
+        | None -> ()
+        | Some n ->
+          bump ctr C.cand_size_buckets.(Obs.Metrics.bucket_of Mx.cand_sizes (float_of_int n));
+          ctr.(C.cand_size_sum) <- ctr.(C.cand_size_sum) + n)
+  in
+  let respond tid v trace cands =
+    try Tracker.respond tk tid v cands
+    with Tracker.Unexplained ->
+      fail trace "no linearization explains thread %d returning %a" tid V.pp v
+  in
+  let crash_cands trace cands =
+    try Tracker.crash tk cands
+    with Tracker.Unexplained -> fail trace "spec crash transition unsatisfiable"
+  in
   let next_tid = ref 0 in
   let fresh_tid () =
     let t = !next_tid in
@@ -671,14 +541,14 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
     | None -> (lives, cands, trace)
     | Some (others, l, v) ->
       let trace = ev_return l.tid l.call v :: trace in
-      let cands = tk.respond l.tid v trace cands in
+      let cands = respond l.tid v trace cands in
       (match l.rest with
       | [] -> settle others cands trace
       | (call', prog') :: rest' ->
         let tid = fresh_tid () in
         let live' = { tid; call = call'; prog = prog'; rest = rest' } in
         let trace = ev_invoke tid call' :: trace in
-        settle (live' :: others) (tk.add_pending tid call' cands) trace)
+        settle (live' :: others) (Tracker.add_pending tk tid call' cands) trace)
   in
   let initial () =
     let lives, cands =
@@ -688,8 +558,8 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
           | [] -> (lives, cands)
           | (call, prog) :: rest ->
             let tid = fresh_tid () in
-            ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
-        ([], [ { st = spec.Spec.init; pend = [] } ])
+            ({ tid; call; prog; rest } :: lives, Tracker.add_pending tk tid call cands))
+        ([], Tracker.initial tk)
         cfg.threads
     in
     (List.rev lives, cands)
@@ -761,7 +631,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
 
   (* A path that reaches spec-level undefined behaviour is vacuously
      correct: the spec constrains nothing for such clients (§8.3). *)
-  let vacuous_ok f = try f () with Vacuous -> bump ctr C.vacuous in
+  let vacuous_ok f = try f () with Tracker.Vacuous -> bump ctr C.vacuous in
   let deadlock trace lives =
     if cfg.fail_on_deadlock then
       fail trace "deadlock: threads %s all blocked"
@@ -793,13 +663,13 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
       | (call, prog) :: rest ->
         scoped_tids @@ fun () ->
         let tid = fresh_tid () in
-        let cands = tk.add_pending tid call cands in
+        let cands = Tracker.add_pending tk tid call cands in
         let rec go w prog trace =
           match Sched.Prog.next w prog with
           | Sched.Prog.Finished v ->
             let trace = ev_post_return tid call v :: trace in
             let next = match driver with Dfs _ -> trace | Walks _ -> base in
-            vacuous_ok (fun () -> probes w (tk.respond tid v trace cands) next rest)
+            vacuous_ok (fun () -> probes w (respond tid v trace cands) next rest)
           | nx -> solo "post op" ev_pstep trace nx go
         in
         go w prog trace
@@ -823,7 +693,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
     let rec go w prog trace =
       let step () =
         match Sched.Prog.next w prog with
-        | Sched.Prog.Finished _ -> post w (tk.crash_cands trace cands) trace
+        | Sched.Prog.Finished _ -> post w (crash_cands trace cands) trace
         | nx -> solo "recovery" ev_rstep trace nx go
       in
       if crashes >= cfg.max_crashes then step ()
@@ -842,7 +712,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
   let crash_main w cands crashes trace =
     inject_crash trace;
     vacuous_ok (fun () ->
-        let cands = tk.saturate cands in
+        let cands = Tracker.saturate tk cands in
         let crashes = match driver with Dfs _ -> crashes + 1 | Walks _ -> crashes in
         timed_phase "recovery" ctr C.recovery_ns (fun () ->
             recover (cfg.crash_world w) cands crashes (ev_crash ~during_recovery:false :: trace)))
@@ -967,21 +837,21 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
             Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
             f_cands =
               List.map
-                (fun c ->
+                (fun (st, pend) ->
                   {
-                    Fingerprint.f_state = Fmt.str "%a" spec.Spec.pp_state c.st;
+                    Fingerprint.f_state = Fmt.str "%a" spec.Spec.pp_state st;
                     f_pend =
                       List.map
-                        (fun p ->
+                        (fun (ptid, pcall, result) ->
                           {
-                            Fingerprint.f_ptid = p.ptid;
-                            f_op = p.pcall.Spec.op;
-                            f_args = List.map vstr p.pcall.Spec.args;
-                            f_result = Option.map vstr p.result;
+                            Fingerprint.f_ptid = ptid;
+                            f_op = pcall.Spec.op;
+                            f_args = List.map vstr pcall.Spec.args;
+                            f_result = Option.map vstr result;
                           })
-                        c.pend;
+                        pend;
                   })
-                cands;
+                (Tracker.candidates cands);
             f_phase = "main";
             f_crashes = crashes;
             f_fused = fused;
@@ -1021,7 +891,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
         counting := live;
         if live && depth > ctr.(C.frontier_hwm) then ctr.(C.frontier_hwm) <- depth;
         (match settle lives cands trace with
-        | exception Vacuous -> if live then bump ctr C.vacuous
+        | exception Tracker.Vacuous -> if live then bump ctr C.vacuous
         | lives, cands, trace' ->
           counting := true;
           let dirty = dirty || trace' != trace in
@@ -1196,22 +1066,26 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
         let lives, cands = initial () in
         node cfg.init_world lives cands 0 [] 0 0 0
       with
-      | Vacuous -> bump ctr C.vacuous
+      | Tracker.Vacuous -> bump ctr C.vacuous
       | Violation f ->
         raise
           (Violation
              { f with reason = Fmt.str "[seed=%d schedule=%d/%d] %s" seed i schedules f.reason })
     done
   in
-  match
-    match driver with
-    | Dfs { strategy; cutoff; emit; replay; fp } -> dfs ~strategy ~cutoff ~emit ~replay ~fp
-    | Walks { seed; crash_prob; first; last; schedules } ->
-      walks ~seed ~crash_prob ~first ~last ~schedules
-  with
-  | () -> I_ok
-  | exception Violation f -> I_viol f
-  | exception Budget -> I_budget
+  let outcome =
+    match
+      match driver with
+      | Dfs { strategy; cutoff; emit; replay; fp } -> dfs ~strategy ~cutoff ~emit ~replay ~fp
+      | Walks { seed; crash_prob; first; last; schedules } ->
+        walks ~seed ~crash_prob ~first ~last ~schedules
+    with
+    | () -> I_ok
+    | exception Violation f -> I_viol f
+    | exception Budget -> I_budget
+  in
+  Obs.Metrics.inc ~by:(Tracker.memo_hits tk) Mx.memo_hits;
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                              *)

@@ -90,7 +90,12 @@ type stats = {
   crashes_injected : int;
   vacuous : int;  (** paths pruned by spec-level undefined behaviour *)
   max_candidates : int;  (** high-water mark of the linearization set *)
-  dedup_hits : int;  (** duplicate linearization candidates collapsed *)
+  dedup_hits : int;
+      (** linearization candidates the spec-side tracker derived — while
+          closing the set under pending operations, or by the spec crash
+          transition — that were already in the set; counted once per
+          logical tracker call (a memoized response counts as the call it
+          stands for), so it is the same at every domain count *)
   frontier_hwm : int;  (** deepest schedule prefix explored *)
   commutations_pruned : int;
       (** enabled steps never explored because no race required them

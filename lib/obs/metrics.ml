@@ -116,14 +116,30 @@ let histogram ?(registry = default) ?(labels = []) ?(buckets = default_buckets) 
   | M_hist h -> h
   | _ -> assert false
 
-let observe (h : histogram) v =
+let bucket_count (h : histogram) = Array.length h.counts
+
+let bucket_of (h : histogram) v =
   let n = Array.length h.bounds in
   let rec bucket i = if i >= n then n else if v <= h.bounds.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
+  bucket 0
+
+let observe (h : histogram) v =
+  let i = bucket_of h v in
   with_lock h.h_lock (fun () ->
       h.counts.(i) <- h.counts.(i) + 1;
       h.h_sum <- h.h_sum +. v;
       h.h_count <- h.h_count + 1)
+
+let add_counts (h : histogram) counts ~sum =
+  if Array.length counts <> Array.length h.counts then
+    invalid_arg "Obs.Metrics.add_counts: one count per bucket";
+  with_lock h.h_lock (fun () ->
+      Array.iteri
+        (fun i n ->
+          h.counts.(i) <- h.counts.(i) + n;
+          h.h_count <- h.h_count + n)
+        counts;
+      h.h_sum <- h.h_sum +. sum)
 
 let hist_count (h : histogram) = with_lock h.h_lock (fun () -> h.h_count)
 let hist_sum (h : histogram) = with_lock h.h_lock (fun () -> h.h_sum)

@@ -60,6 +60,20 @@ val histogram :
     seconds: 5us .. 10s in a 1-2.5-5 progression. *)
 
 val observe : histogram -> float -> unit
+
+val bucket_count : histogram -> int
+(** Number of buckets, the implicit +infinity one included. *)
+
+val bucket_of : histogram -> float -> int
+(** The bucket {!observe} counts a value in: [0] for the lowest bound,
+    [bucket_count h - 1] for +infinity.  Pure — no lock. *)
+
+val add_counts : histogram -> int array -> sum:float -> unit
+(** [add_counts h counts ~sum] records [counts.(i)] observations in bucket
+    [i], summing to [sum], under one lock: a hot loop tallies per bucket
+    locally (with {!bucket_of}) and publishes once.  Raises
+    [Invalid_argument] unless [counts] has {!bucket_count} entries. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 

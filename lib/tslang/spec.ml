@@ -24,5 +24,13 @@ let op_outcomes spec s { op; args } = Transition.outcomes (spec.step op args) s
 let op_has_undefined spec s { op; args } =
   Transition.has_undefined (spec.step op args) s
 
+let op_run spec { op; args } =
+  let tr = spec.step op args in
+  fun s ->
+    let outs = Transition.run tr s in
+    if List.exists (function Transition.Undefined_behaviour -> true | Transition.Ok _ -> false) outs
+    then None
+    else Some (List.filter_map (function Transition.Ok (s', v) -> Some (s', v) | Transition.Undefined_behaviour -> None) outs)
+
 let crash_outcomes spec s =
   List.map fst (Transition.outcomes spec.crash s)

@@ -35,5 +35,11 @@ val op_has_undefined : 's t -> 's -> call -> bool
     from this state (e.g. out-of-bounds address); refinement obligations are
     vacuous for such calls. *)
 
+val op_run : 's t -> call -> 's -> ('s * Value.t) list option
+(** [op_run spec call s] is [None] if [op_has_undefined spec s call], and
+    [Some (op_outcomes spec s call)] otherwise, from one run of the
+    transition.  [op_run spec call] resolves the operation once, so a
+    partial application can be applied to many states. *)
+
 val crash_outcomes : 's t -> 's -> 's list
 (** Defined outcomes of the crash transition. *)
