@@ -39,8 +39,9 @@ type 's tracker = {
 let memo_size = 16
 
 (* Candidates of one set share their ops, so comparing two of them compares
-   results position by position — the order the old per-candidate pending
-   lists (sorted by tid) gave. *)
+   results position by position: the same order as comparing their
+   (tid, call, result) lists sorted by tid.  The order decides the first
+   candidate, whose state registers the coverage arms. *)
 let compare_res a b =
   let n = Array.length a in
   let rec go i =
