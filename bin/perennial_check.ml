@@ -513,16 +513,21 @@ let run_net ~strategy ~faults () =
                 [ SK.expire_call ] ]))))
 
 (* Cross-strategy guard: every strategy must reach the same verdict on the
-   bundled instances, and the reduced strategies must never explore more
-   executions than naive.  This is the CI pruning-regression gate. *)
+   bundled instances, the reduced strategies must never explore more
+   executions than naive, and they must reach exactly naive's number of
+   distinct fault schedules — a deterministic count that drops when a
+   reduction loses behaviour.  This is the CI pruning-regression gate. *)
 let run_strategies () =
   print_endline "Exploration-strategy cross-check (verdicts + pruning guard):";
   let vx = V.str "x" and vy = V.str "y" in
   let module J = Journal.Txn_log in
   let module K = Journal.Kvs in
+  let module Fs = Perennial_fs.Fs in
+  let module RD = Systems.Replicated_disk in
   let b = Disk.Block.of_string in
   let p = K.params ~n_keys:2 () in
   let ly = J.layout ~n_data:2 ~max_slots:2 in
+  let fp = Fs.params (Perennial_fs.Layout.v ~n_inodes:4 ~n_blocks:5 ()) in
   let instances : (string * (E.strategy -> R.result)) list =
     [
       ( "replicated-disk: 2 writers + crash + disk failure",
@@ -553,6 +558,21 @@ let run_strategies () =
             (K.checker_config p ~max_crashes:1
                [ [ K.put_async_call p 0 (V.str "A"); K.flush_call p ];
                  [ K.get_call p 0 ] ]) );
+      ( "kvs: put || put + crash",
+        fun strategy ->
+          rcheck ~strategy
+            (K.checker_config p ~max_crashes:1
+               [ [ K.put_call p 0 (V.str "A") ]; [ K.put_call p 0 (V.str "B") ] ]) );
+      ( "fs: create || append + crash",
+        fun strategy ->
+          rcheck ~strategy
+            (Fs.checker_config fp ~dirs:[ "a" ] ~files:[ ("a", "f", "xy") ] ~max_crashes:1
+               [ [ Fs.create_call fp "a" "g" ]; [ Fs.append_call fp "a" "f" "z" ] ]) );
+      ( "replicated-disk: ft write || ft read + crash, faults 2",
+        fun strategy ->
+          rcheck ~strategy
+            (RD.checker_config ~size:1 ~max_crashes:1 ~fault_budget:2
+               [ [ RD.write_ft_call 0 vx ]; [ RD.read_ft_call 0 ] ]) );
     ]
   in
   let verdict = function
@@ -578,6 +598,15 @@ let run_strategies () =
               Some
                 (Fmt.str "%s explored %d executions > naive's %d" (E.strategy_name s)
                    (stats_of r).R.executions (stats_of naive).R.executions)
+            (* fingerprint pruning (--fingerprint, naive runs only) skips
+               subtrees and with them their fault schedules *)
+            else if
+              (stats_of r).R.fault_schedules <> (stats_of naive).R.fault_schedules
+              && (stats_of naive).R.fingerprint_hits = 0
+            then
+              Some
+                (Fmt.str "%s reached %d fault schedules, naive %d" (E.strategy_name s)
+                   (stats_of r).R.fault_schedules (stats_of naive).R.fault_schedules)
             else None)
           res
       in

@@ -27,15 +27,18 @@ type 'w step_info = {
   si_label : string;
   si_fp : Fp.t;
   si_visible : bool;
+  si_responds : bool;
   si_branches : ('w * ('w, Tslang.Value.t) Sched.Prog.t) list;
   si_faults : (Sched.Fault.kind * ('w * ('w, Tslang.Value.t) Sched.Prog.t)) list;
   si_fault_site : bool;
 }
 
-let crash_relevant fp = Fp.writes_durable fp
+let crash_relevant si = si.si_responds || Fp.writes_durable si.si_fp
 
 let dependent a b =
-  a.si_visible || b.si_visible || Fp.conflicts a.si_fp b.si_fp
+  a.si_visible || b.si_visible
+  || (crash_relevant a && crash_relevant b)
+  || Fp.conflicts a.si_fp b.si_fp
 
 type 'w node = {
   n_enabled : 'w step_info list;
@@ -66,31 +69,35 @@ let add_backtrack n tid =
 
 let enabled_at n tid = List.exists (fun q -> q.si_tid = tid) n.n_enabled
 
-(* Flanagan–Godefroid race detection.  For each step [p] enabled at the new
-   node, walk the path (newest frame first) to the most recent step by a
-   *different* thread that is dependent with [p] and may be co-enabled with
-   it, and schedule [p] for exploration at that frame's node — or, if [p]
-   was not enabled there, every thread that was (the conservative
-   fallback).  The co-enabledness filter is not an optimization: a
-   dependent-but-never-co-enabled step (a release of the very lock [p]
-   wants) would otherwise shadow the real race deeper in the path. *)
-let detect_races (stack : 'w frame list) (n : 'w node) =
-  List.iter
-    (fun p ->
-      let rec scan = function
-        | [] -> ()
-        | f :: rest ->
-          if
-            f.f_step.si_tid <> p.si_tid
-            && dependent f.f_step p
-            && Fp.may_be_coenabled f.f_step.si_fp p.si_fp
-          then
-            if enabled_at f.f_node p.si_tid then add_backtrack f.f_node p.si_tid
-            else List.iter (fun q -> add_backtrack f.f_node q.si_tid) f.f_node.n_enabled
-          else scan rest
-      in
-      scan stack)
-    n.n_enabled
+(* Flanagan–Godefroid race detection.  For each thread's next step [p] at
+   the new node — enabled, or blocked — walk the path (newest frame first)
+   to the most recent step by a *different* thread that is dependent with
+   [p] and may be co-enabled with it, and schedule [p] for exploration at
+   that frame's node — or, if [p] was not enabled there, every thread that
+   was (the conservative fallback).  The co-enabledness filter is not an
+   optimization: a dependent-but-never-co-enabled step (a release of the
+   very lock [p] wants) would otherwise shadow the real race deeper in the
+   path.  Blocked steps are scanned too: by the time a blocked acquire is
+   enabled again, a dependent step inside the holder's critical section
+   (a faulted one, say) may stand between it and the holder's acquire. *)
+let detect_races ~blocked (stack : 'w frame list) (n : 'w node) =
+  let race p =
+    let rec scan = function
+      | [] -> ()
+      | f :: rest ->
+        if
+          f.f_step.si_tid <> p.si_tid
+          && dependent f.f_step p
+          && Fp.may_be_coenabled f.f_step.si_fp p.si_fp
+        then
+          if enabled_at f.f_node p.si_tid then add_backtrack f.f_node p.si_tid
+          else List.iter (fun q -> add_backtrack f.f_node q.si_tid) f.f_node.n_enabled
+        else scan rest
+    in
+    scan stack
+  in
+  List.iter race n.n_enabled;
+  List.iter race blocked
 
 let next_candidate n =
   List.find_opt

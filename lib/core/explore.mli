@@ -16,14 +16,29 @@
     - {b Dpor_sleep}: DPOR with sleep sets stacked on top, filtering
       already-explored siblings out of re-exploration.
 
-    Dependence is conservative: a step is {e globally dependent} (never
-    reordered) if it writes durable state, has an [Unknown] footprint, or
-    may complete its operation (responses and the invocations they trigger
-    reorder the linearization obligations, so they must keep their place in
-    the path).  Soundness is cross-validated empirically by the
-    differential harness in [test/test_explore.ml]: naive and reduced
-    exploration must agree on pass/fail for every bundled system and
-    seeded-bug variant. *)
+    Dependence is crash-aware.  Two steps by different threads are
+    dependent (never reordered) when either has fault branches to explore,
+    their footprints conflict (an [Unknown] footprint conflicts with
+    everything), or both are {e crash-relevant}: each writes durable state
+    or may complete its operation.  Persisted writes and responses are the
+    only events a crash can observe (durable linearizability), so:
+
+    - crash-relevant steps are pairwise dependent, hence performed in the
+      same order by every interleaving of an equivalence class;
+    - a crash state — the crashed world plus the saturated linearization
+      candidates — is a function of the crash-relevant steps done so far:
+      every other step writes only volatile state, which the crash
+      discards, and emits no tracker event; so the clean-crash skip still
+      reaches every crash state;
+    - a response swapped with a footprint-disjoint non-responding step
+      leaves the tracker's invoke/respond sequence unchanged.
+
+    Race detection scans blocked threads' next steps as well as enabled
+    ones, as Flanagan–Godefroid DPOR specifies.  Soundness is
+    cross-validated empirically by the differential harness in
+    [test/test_explore.ml]: naive and reduced exploration must agree on
+    the verdict for every bundled system and seeded-bug variant, and on
+    the set of reachable post-phase outcomes for the holding ones. *)
 
 type strategy = Naive | Dpor | Dpor_sleep
 
@@ -45,9 +60,11 @@ type 'w step_info = {
   si_label : string;
   si_fp : Sched.Footprint.t;  (** footprint in the node's world *)
   si_visible : bool;
-      (** globally dependent: durable write, [Unknown] footprint, some
-          outcome completes the operation, or a fault branch will be
-          explored here (faulted steps are never reordered) *)
+      (** globally dependent: a fault branch will be explored here
+          (faulted steps are never reordered) *)
+  si_responds : bool;
+      (** some outcome completes the thread's operation; computed only
+          under partial-order reduction ([false] otherwise) *)
   si_branches : ('w * ('w, Tslang.Value.t) Sched.Prog.t) list;
       (** the step's outcomes, pre-applied: next world and continuation *)
   si_faults : (Sched.Fault.kind * ('w * ('w, Tslang.Value.t) Sched.Prog.t)) list;
@@ -58,13 +75,14 @@ type 'w step_info = {
           drives the path's canonical fault-site numbering *)
 }
 
-val crash_relevant : Sched.Footprint.t -> bool
-(** Does a step with this footprint interfere with crash injection?  True
-    iff it writes durable state ([Unknown] counts). *)
+val crash_relevant : 'w step_info -> bool
+(** Can a crash observe where this step happened?  True iff it may
+    complete its operation ([si_responds]) or writes durable state
+    ([Unknown] counts). *)
 
 val dependent : 'w step_info -> 'w step_info -> bool
-(** Steps that may not be reordered: either is globally dependent or their
-    footprints conflict. *)
+(** Steps that may not be reordered: either is globally dependent, both
+    are crash-relevant, or their footprints conflict. *)
 
 type 'w node = {
   n_enabled : 'w step_info list;  (** runnable threads at this node *)
@@ -84,10 +102,12 @@ val node : sleep:int list -> 'w step_info list -> 'w node
 val add_backtrack : 'w node -> int -> unit
 val enabled_at : 'w node -> int -> bool
 
-val detect_races : 'w frame list -> 'w node -> unit
-(** For each enabled step of the node, find the most recent dependent,
-    may-be-co-enabled step by another thread on the path (newest frame
-    first) and add backtrack points at that frame's node. *)
+val detect_races : blocked:'w step_info list -> 'w frame list -> 'w node -> unit
+(** For each enabled step of the node, and each step in [blocked] (the
+    next steps of the node's blocked threads, with their footprints at the
+    node's world), find the most recent dependent, may-be-co-enabled step
+    by another thread on the path (newest frame first) and add backtrack
+    points at that frame's node. *)
 
 val next_candidate : 'w node -> 'w step_info option
 (** Next backtrack candidate not yet done, in enabled order. *)

@@ -742,18 +742,32 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
       Some
         { E.si_tid = l.tid; si_label = label; si_fp = fp;
           (* a step whose fault branches will be explored is globally
-             dependent, like an [Unknown] footprint: faulted and normal
-             outcomes may diverge arbitrarily, so it is never reordered;
-             so is a step that may complete its operation *)
-          si_visible =
-            (not por) || E.crash_relevant fp || faults <> []
-            || List.exists
+             dependent: faulted and normal outcomes may diverge
+             arbitrarily, so it is never reordered.  A step that may
+             complete its operation is crash-relevant, ordered only
+             against other crash-relevant steps and conflicting
+             footprints (see {!Explore.dependent}). *)
+          si_visible = faults <> [];
+          si_responds =
+            por
+            && List.exists
                  (fun (_, p) ->
                    match Sched.Prog.strip_marks p with Sched.Prog.Done _ -> true | _ -> false)
                  outcomes;
           si_branches = outcomes;
           si_faults = faults;
           si_fault_site = declared <> [] }
+  in
+  (* A blocked thread's next step, for DPOR race detection only: its label
+     and its footprint in [w], read off the [Atomic] that
+     {!Sched.Prog.next} reported blocked (settle stripped its marks).  It
+     has no outcomes to take, so it neither responds nor branches. *)
+  let blocked_step w l =
+    match l.prog with
+    | Sched.Prog.Atomic { label; fp; _ } ->
+      { E.si_tid = l.tid; si_label = label; si_fp = fp w; si_visible = false;
+        si_responds = false; si_branches = []; si_faults = []; si_fault_site = false }
+    | Sched.Prog.Done _ | Sched.Prog.Mark _ -> assert false (* settled above *)
   in
   (* Take one alternative of thread step [si] — a normal outcome, or the
      fault [kind]; [k] continues in the resulting world, threads, trace and
@@ -783,20 +797,32 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
 
      Partial-order reduction is Flanagan–Godefroid DPOR over thread steps,
      optional sleep sets, plus crash-point pruning.  Soundness rests on
-     three conservative rules (cross-validated against [Naive] by the
-     differential harness in test/test_explore.ml):
+     these rules (cross-validated against [Naive] by the verdict and
+     outcome-set differentials in test/test_explore.ml):
      - a crash branch is skipped only at "clean" nodes — the step into the
        node wrote no durable state ([dirty] from its footprint) and settling
        observed no response/invocation (trace unchanged) — so crashing here
        reaches exactly the recovery state and candidate set already explored
        at the nearest dirty ancestor;
-     - a step is globally dependent (kept in order w.r.t. everything) if it
-       writes durable state, has an [Unknown] footprint, or may complete its
-       operation: responses and the invocations they trigger reorder the
-       linearization obligations, so only footprint-disjoint steps strictly
-       between those points commute;
-     - threads blocked or unannotated degrade to naive exploration around
-       them.
+     - dependence is crash-aware ({!Explore.dependent}): a step with fault
+       branches to explore is globally dependent; otherwise two steps are
+       dependent when their footprints conflict ([Unknown] conflicts with
+       everything) or both are crash-relevant — each writes durable state
+       or may complete its operation.  Crash-relevant steps keep their
+       relative order in every interleaving of a class, and a crash state
+       (crashed world, saturated candidates) is a function of exactly those
+       steps: every other step writes only volatile state, which
+       [crash_world] discards, and emits no tracker event.  So every crash
+       state naive reaches is reached at a dirty node of some explored
+       path, and a response swapped with a footprint-disjoint
+       non-responding step leaves the tracker's invoke/respond sequence
+       unchanged;
+     - race detection covers blocked threads' next steps as well as
+       enabled ones (their footprints in the node's world), so a dependent
+       step inside a lock holder's critical section cannot hide the race
+       between the holder's acquire and a waiter's;
+     - unannotated steps ([Unknown] footprint) degrade to naive
+       exploration around them.
      Parallel mode adds a fourth, also conservative, rule: every node above
      the split cutoff explores ALL enabled steps (full backtrack set, no
      sleep) — so no deep race ever needs to add a backtrack point to a
@@ -928,7 +954,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                         (* a fault child is always crash-dirty: a torn write
                            persists a durable prefix *)
                         go w lives cands crashes trace (depth + 1) fused' fsite' rpath
-                          ~dirty:(fused' > fused || E.crash_relevant si.si_fp)
+                          ~dirty:(fused' > fused || Sched.Footprint.writes_durable si.si_fp)
                           ~stack ~sleep)
                   in
                   match sel with
@@ -967,7 +993,18 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                   let node = E.node ~sleep:(if conservative then [] else sleep) infos in
                   if conservative then
                     node.E.n_backtrack <- List.map (fun si -> si.E.si_tid) infos
-                  else E.detect_races stack node;
+                  else begin
+                    (* blocked threads' next steps race too; the list is
+                       built only when some thread is blocked *)
+                    let blocked =
+                      if List.compare_lengths infos lives = 0 then []
+                      else
+                        List.filter_map
+                          (fun l -> if E.enabled_at node l.tid then None else Some (blocked_step w l))
+                          lives
+                    in
+                    E.detect_races ~blocked stack node
+                  end;
                   let explored = ref 0 and slept = ref 0 in
                   let first_explored = ref None in
                   let z = ref sleep in

@@ -177,12 +177,16 @@ val check :
     ({!Explore.Dpor}, {!Explore.Dpor_sleep}) explore a sound subset of the
     interleavings — same verdict, fewer executions; the reduction is
     measurable in the returned {!stats} ([commutations_pruned],
-    [crash_skips], [sleep_skips]).
+    [crash_skips], [sleep_skips]).  Their dependence relation is
+    crash-aware ({!Explore.dependent}): durable writes and responses are
+    ordered against each other, and commute with every footprint-disjoint
+    step that is neither.
 
     [?faults] overrides the config's [fault_budget]: all fault schedules
     with at most that many injections are enumerated alongside all crash
-    points.  Faulted steps are globally dependent under DPOR (never
-    reordered), so the reduced strategies stay sound with faults on.
+    points.  Steps with fault branches to explore are globally dependent
+    under DPOR (never reordered), so the reduced strategies stay sound
+    with faults on.
     [?max_seconds] overrides the config's wall-clock budget.
 
     {b Parallel exploration.}  [~domains:n] runs the check on [n] domains

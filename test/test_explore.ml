@@ -4,11 +4,15 @@
    of {!Explore.Naive} — while never exploring more executions.  On top of
    that:
 
+   - an outcome-set differential: on holding instances the reduced
+     strategies must reach exactly naive's set of post-phase outcomes
+     (the world the post phase starts from plus every probe's result),
+     since a reduction that loses behaviours can still keep the verdict;
    - qcheck properties over the dependence relation: swapping adjacent
      steps that the footprints classify as independent never changes the
      final state or either step's observation, and the seeded dependent
-     pairs (same-address write/write, crash vs durable write, [Unknown]
-     vs anything) are never classified independent;
+     pairs (same-address write/write, two durable writes, two responses,
+     [Unknown] vs anything) are never classified independent;
    - golden counterexample snapshots: the [pp_failure_lanes] rendering of
      the seeded journal/kvs bugs and the refuted strict-KVS spec is
      byte-for-byte identical under every strategy (test/golden/);
@@ -164,6 +168,153 @@ let test_diff_bugs_journal_kvs () =
            [ [ K.put_async_call p 0 (bv "A") ] ]))
 
 (* ------------------------------------------------------------------ *)
+(* Outcome-set differential                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Same verdict is a weak check: a reduced strategy that loses behaviours
+   still passes a holding instance.  So, test-only, wrap the post probes
+   to record each completed post phase's outcome — the rendered world at
+   the start of the phase plus every probe's result — and require the
+   reduced strategies to reach exactly naive's set of outcomes.  Each
+   record is a [Footprint.pure] step: its action runs exactly once, at the
+   point of the explored path that takes it. *)
+let with_outcomes (cfg : ('w, 's) R.config) =
+  let n = List.length cfg.R.post in
+  if n = 0 then invalid_arg "with_outcomes: the instance has no post probes";
+  let seen = Hashtbl.create 64 in
+  (* slot 0: the world; slot i: probe i's result *)
+  let cur = Array.make (n + 1) "" in
+  let record i render =
+    Sched.Prog.atomic ~fp:(Fp.const Fp.pure) "outcome" (fun w ->
+        cur.(i) <- render w;
+        if i = n then Hashtbl.replace seen (Array.to_list cur) ();
+        Sched.Prog.Steps [ (w, ()) ])
+  in
+  let open Sched.Prog.Syntax in
+  let post =
+    List.mapi
+      (fun i (call, prog) ->
+        let prog =
+          let* () =
+            if i = 0 then record 0 (Fmt.str "%a" cfg.R.pp_world) else Sched.Prog.return ()
+          in
+          let* v = prog in
+          let+ () = record (i + 1) (fun _ -> Fmt.str "%a" V.pp v) in
+          v
+        in
+        (call, prog))
+      cfg.R.post
+  in
+  let outcomes () = List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) seen []) in
+  ({ cfg with R.post }, outcomes)
+
+let outcome_differential name (cfg : unit -> ('w, 's) R.config) =
+  let run strategy =
+    let cfg, outcomes = with_outcomes (cfg ()) in
+    let r = R.check ~strategy cfg in
+    (r, outcomes ())
+  in
+  let naive_r, naive = run E.Naive in
+  Alcotest.(check string) (name ^ ": naive verdict") "holds" (verdict naive_r);
+  List.iter
+    (fun s ->
+      let r, got = run s in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s verdict" name (E.strategy_name s))
+        "holds" (verdict r);
+      if got <> naive then begin
+        let missing = List.filter (fun o -> not (List.mem o got)) naive in
+        Alcotest.failf "%s: %s reaches %d outcomes, naive %d; first missing: %s" name
+          (E.strategy_name s) (List.length got) (List.length naive)
+          (match missing with
+          | o :: _ -> String.concat " | " o
+          | [] -> "(none: extra outcomes)")
+      end)
+    [ E.Dpor; E.Dpor_sleep ]
+
+let test_outcomes_net () =
+  let module SK = Dist.Shard_kv in
+  let p1 = SK.params ~n_keys:1 ~n_clients:1 () in
+  outcome_differential "net: exactly-once inc + crash" (fun () ->
+      SK.checker_config p1 ~max_crashes:1 ~fault_budget:1
+        [ [ SK.ninc_call p1 ~client:0 ~seq:0 0; SK.bye_call ]; [ SK.srv_call p1 0 ] ]);
+  let p2 = SK.params ~n_keys:1 ~n_clients:2 ~retries:0 () in
+  outcome_differential "net: 2-client contention + crash" (fun () ->
+      SK.checker_config p2 ~max_crashes:1 ~fault_budget:0
+        [ [ SK.ninc_call p2 ~client:0 ~seq:0 0; SK.bye_call ];
+          [ SK.ninc_call p2 ~client:1 ~seq:0 0; SK.bye_call ];
+          [ SK.srv_call p2 0 ] ]);
+  let pl = SK.params ~n_keys:1 ~n_clients:2 () in
+  outcome_differential "net: lease 2 holders + expiry + crash" (fun () ->
+      SK.checker_config pl ~max_crashes:1 ~fault_budget:0
+        [ [ SK.linc_call pl ~client:0 0 ]; [ SK.linc_call pl ~client:1 0 ]; [ SK.expire_call ] ]);
+  let ph = SK.params ~n_keys:1 ~n_shards:1 ~n_clients:1 ~retries:0 ~init_val:(V.str "0") () in
+  outcome_differential "net: hosted shard-kv + crash" (fun () ->
+      SK.Hosted.checker_config ph ~max_crashes:1 ~fault_budget:1
+        [ [ SK.Hosted.nput_call ph ~client:0 ~seq:0 0 (V.str "A"); SK.Hosted.bye_call ];
+          [ SK.Hosted.srv_call ph 0 ] ])
+
+let test_diff_bugs_net () =
+  let module SK = Dist.Shard_kv in
+  let p0 = SK.params ~n_keys:1 ~n_clients:1 ~retries:0 () in
+  let pr = SK.params ~n_keys:1 ~n_clients:1 ~retries:1 () in
+  let pl = SK.params ~n_keys:1 ~n_clients:2 () in
+  differential "bug net: server without reply cache" (fun strategy ->
+      R.check ~strategy
+        (SK.checker_config p0 ~max_crashes:0 ~fault_budget:1
+           [ [ SK.Buggy.srv_call_no_cache p0 0 ];
+             [ SK.ninc_call p0 ~client:0 ~seq:0 0; SK.bye_call ] ]));
+  differential "bug net: raw retry without seq number" (fun strategy ->
+      R.check ~strategy
+        (SK.checker_config pr ~max_crashes:0 ~fault_budget:1
+           [ [ SK.srv_call pr 0 ];
+             [ SK.Buggy.nput_call_raw_retry pr ~client:0 ~seq:0 0 (V.str "A");
+               SK.nput_call p0 ~client:0 ~seq:1 0 (V.str "B");
+               SK.bye_call ] ]));
+  differential "bug net: lease write without epoch fence" (fun strategy ->
+      R.check ~strategy
+        (SK.checker_config pl ~max_crashes:0 ~fault_budget:0
+           [ [ SK.Buggy.linc_call_no_fence pl ~client:0 0 ];
+             [ SK.Buggy.linc_call_no_fence pl ~client:1 0 ];
+             [ SK.expire_call ] ]))
+
+let test_outcomes_storage () =
+  let module Wl = Perennial_wal.Wal in
+  let module Fs = Perennial_fs.Fs in
+  outcome_differential "kvs: put || get + crash" (fun () ->
+      K.checker_config p ~max_crashes:1 [ [ K.put_call p 0 (bv "A") ]; [ K.get_call p 1 ] ]);
+  outcome_differential "kvs: put || put + crash" (fun () ->
+      K.checker_config p ~max_crashes:1
+        [ [ K.put_call p 0 (bv "A") ]; [ K.put_call p 0 (bv "B") ] ]);
+  outcome_differential "kvs: put || put + 2 crashes" (fun () ->
+      K.checker_config p ~max_crashes:2
+        [ [ K.put_call p 0 (bv "A") ]; [ K.put_call p 0 (bv "B") ] ]);
+  outcome_differential "kvs: txn + 2 crashes" (fun () ->
+      K.checker_config p ~max_crashes:2 [ [ K.txn_call p [ (0, b "A"); (1, b "B") ] ] ]);
+  let wp = Wl.params ~n_data:1 ~cap:2 () in
+  outcome_differential "wal: mwrite || logger + crash" (fun () ->
+      Wl.checker_config wp ~max_crashes:1
+        [ [ Wl.mwrite_call wp [ (0, b "A") ] ]; [ Wl.logger_call wp ] ]);
+  let fp = Fs.params (Perennial_fs.Layout.v ~n_inodes:4 ~n_blocks:5 ()) in
+  let post = Fs.probe fp ~dirs:[ "a" ] ~files:[ ("a", "f"); ("a", "g") ] in
+  outcome_differential "fs: ft create + crash, faults 1" (fun () ->
+      Fs.checker_config fp ~dirs:[ "a" ] ~files:[ ("a", "f", "x") ] ~post ~max_crashes:1
+        ~fault_budget:1 [ [ Fs.create_ft_call fp "a" "g" ] ]);
+  outcome_differential "fs: ft create; ft append + crash, faults 1" (fun () ->
+      Fs.checker_config fp ~dirs:[ "a" ] ~files:[ ("a", "f", "x") ] ~post ~max_crashes:1
+        ~fault_budget:1
+        [ [ Fs.create_ft_call fp "a" "g"; Fs.append_ft_call fp "a" "f" "y" ] ]);
+  outcome_differential "fs: create || append + crash" (fun () ->
+      Fs.checker_config fp ~dirs:[ "a" ] ~files:[ ("a", "f", "xy") ] ~post ~max_crashes:1
+        [ [ Fs.create_call fp "a" "g" ]; [ Fs.append_call fp "a" "f" "z" ] ]);
+  outcome_differential "rd: ft write || ft read + crash, faults 2" (fun () ->
+      Rd.checker_config ~size:1 ~max_crashes:1 ~fault_budget:2
+        [ [ Rd.write_ft_call 0 vx ]; [ Rd.read_ft_call 0 ] ]);
+  outcome_differential "rd: write || write + crash" (fun () ->
+      Rd.checker_config ~size:1 ~max_crashes:1
+        [ [ Rd.write_call 0 (V.str "a") ]; [ Rd.write_call 0 (V.str "b") ] ])
+
+(* ------------------------------------------------------------------ *)
 (* The reduction is real                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -256,9 +407,9 @@ let prop_same_address_write_dependent =
 
 (* Dummy step_infos over a unit world, to exercise Explore.dependent
    itself (not just Footprint.conflicts). *)
-let info ?(visible = false) tid fp =
-  { E.si_tid = tid; si_label = "step"; si_fp = fp; si_visible = visible; si_branches = [];
-    si_faults = []; si_fault_site = false }
+let info ?(visible = false) ?(responds = false) tid fp =
+  { E.si_tid = tid; si_label = "step"; si_fp = fp; si_visible = visible;
+    si_responds = responds; si_branches = []; si_faults = []; si_fault_site = false }
 
 let prop_visible_always_dependent =
   QCheck.Test.make ~name:"visible steps are dependent on everything" ~count:200 arb_case
@@ -277,11 +428,14 @@ let test_dependence_seeded_pairs () =
   Alcotest.(check bool) "read/read same address commutes" false (Fp.conflicts r0 r0);
   Alcotest.(check bool) "unknown conflicts with a read" true (Fp.conflicts Fp.unknown r0);
   Alcotest.(check bool) "unknown conflicts with pure" true (Fp.conflicts Fp.unknown Fp.pure);
-  (* crash vs durable write: only durable writes are crash-relevant *)
-  Alcotest.(check bool) "durable write is crash-relevant" true (E.crash_relevant w0);
-  Alcotest.(check bool) "volatile write is not crash-relevant" false (E.crash_relevant c);
-  Alcotest.(check bool) "read is not crash-relevant" false (E.crash_relevant r0);
-  Alcotest.(check bool) "unknown is crash-relevant" true (E.crash_relevant Fp.unknown);
+  (* crash-relevant: a durable write or a response *)
+  Alcotest.(check bool) "durable write is crash-relevant" true (E.crash_relevant (info 0 w0));
+  Alcotest.(check bool) "volatile write is not crash-relevant" false
+    (E.crash_relevant (info 0 c));
+  Alcotest.(check bool) "read is not crash-relevant" false (E.crash_relevant (info 0 r0));
+  Alcotest.(check bool) "unknown is crash-relevant" true (E.crash_relevant (info 0 Fp.unknown));
+  Alcotest.(check bool) "response is crash-relevant" true
+    (E.crash_relevant (info ~responds:true 0 r0));
   (* lock discipline: an acquire is never co-enabled with the release of
      the same lock — load-bearing for catching lock-order deadlocks *)
   let l = Fp.lock 0 in
@@ -289,9 +443,18 @@ let test_dependence_seeded_pairs () =
     (Fp.may_be_coenabled (Fp.acquire l) (Fp.release l));
   Alcotest.(check bool) "acquire vs release distinct locks may be co-enabled" true
     (Fp.may_be_coenabled (Fp.acquire l) (Fp.release (Fp.lock 1)));
-  (* Explore.dependent is conflicts + visibility *)
-  Alcotest.(check bool) "disjoint invisible steps independent" false
-    (E.dependent (info 0 w0) (info 1 w1))
+  (* Explore.dependent is conflicts + visibility + crash relevance *)
+  let c' = Fp.writes [ Fp.cell "cache" ] in
+  Alcotest.(check bool) "disjoint volatile steps independent" false
+    (E.dependent (info 0 c) (info 1 c'));
+  Alcotest.(check bool) "durable writes to distinct addresses dependent" true
+    (E.dependent (info 0 w0) (info 1 w1));
+  Alcotest.(check bool) "durable write and disjoint volatile step independent" false
+    (E.dependent (info 0 w0) (info 1 c));
+  Alcotest.(check bool) "response and response dependent" true
+    (E.dependent (info ~responds:true 0 c) (info ~responds:true 1 c'));
+  Alcotest.(check bool) "response and disjoint non-responding step independent" false
+    (E.dependent (info ~responds:true 0 c) (info 1 c'))
 
 (* ------------------------------------------------------------------ *)
 (* Golden counterexamples                                              *)
@@ -367,6 +530,9 @@ let suite =
       test_diff_bugs_wal_shadow;
     Alcotest.test_case "differential: journal/kvs seeded bugs" `Quick
       test_diff_bugs_journal_kvs;
+    Alcotest.test_case "outcome sets: net" `Quick test_outcomes_net;
+    Alcotest.test_case "differential: net seeded bugs" `Quick test_diff_bugs_net;
+    Alcotest.test_case "outcome sets: storage stack" `Quick test_outcomes_storage;
     Alcotest.test_case "kvs reduction: >=3x fewer executions" `Quick test_kvs_reduction;
     Alcotest.test_case "dependence: seeded pairs" `Quick test_dependence_seeded_pairs;
     QCheck_alcotest.to_alcotest prop_independent_steps_commute;
