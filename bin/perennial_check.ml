@@ -598,12 +598,7 @@ let run_strategies () =
               Some
                 (Fmt.str "%s explored %d executions > naive's %d" (E.strategy_name s)
                    (stats_of r).R.executions (stats_of naive).R.executions)
-            (* fingerprint pruning (--fingerprint, naive runs only) skips
-               subtrees and with them their fault schedules *)
-            else if
-              (stats_of r).R.fault_schedules <> (stats_of naive).R.fault_schedules
-              && (stats_of naive).R.fingerprint_hits = 0
-            then
+            else if (stats_of r).R.fault_schedules <> (stats_of naive).R.fault_schedules then
               Some
                 (Fmt.str "%s reached %d fault schedules, naive %d" (E.strategy_name s)
                    (stats_of r).R.fault_schedules (stats_of naive).R.fault_schedules)

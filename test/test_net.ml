@@ -524,8 +524,8 @@ let test_golden_bug_no_cache () =
 (* The DPOR family reports a different — equally valid — representative
    of bug 2's violation class: the client's [retry_rpc] backoff step is
    pure, so it commutes with the server's reply [net_send(c0)]; the DPOR
-   family places it first, naive's DFS after.  Both goldens are committed; each strategy family is
-   byte-stable across domain counts. *)
+   family places it first, naive's DFS after.  Both goldens are
+   committed; each strategy family is byte-stable across domain counts. *)
 let test_golden_bug_raw_retry () =
   let naive_golden = read_golden "net_bug2_raw_retry.naive" in
   let dpor_golden = read_golden "net_bug2_raw_retry" in
