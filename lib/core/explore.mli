@@ -34,7 +34,11 @@
       leaves the tracker's invoke/respond sequence unchanged.
 
     Race detection scans blocked threads' next steps as well as enabled
-    ones, as Flanagan–Godefroid DPOR specifies.  Soundness is
+    ones, as Flanagan–Godefroid DPOR specifies.  Dependence must hold for
+    a step as it will run, and whether a blocked step will complete its
+    operation or have fault branches is known only in the world that
+    enables it, so the checker describes it conservatively: responding,
+    and visible while fault budget remains.  Soundness is
     cross-validated empirically by the differential harness in
     [test/test_explore.ml]: naive and reduced exploration must agree on
     the verdict for every bundled system and seeded-bug variant, and on
@@ -105,7 +109,7 @@ val enabled_at : 'w node -> int -> bool
 val detect_races : blocked:'w step_info list -> 'w frame list -> 'w node -> unit
 (** For each enabled step of the node, and each step in [blocked] (the
     next steps of the node's blocked threads, with their footprints at the
-    node's world), find the most recent dependent, may-be-co-enabled step
+    node's world and conservative [si_responds]/[si_visible]), find the most recent dependent, may-be-co-enabled step
     by another thread on the path (newest frame first) and add backtrack
     points at that frame's node. *)
 

@@ -761,12 +761,15 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
   (* A blocked thread's next step, for DPOR race detection only: its label
      and its footprint in [w], read off the [Atomic] that
      {!Sched.Prog.next} reported blocked (settle stripped its marks).  It
-     has no outcomes to take, so it neither responds nor branches. *)
-  let blocked_step w l =
+     has no outcomes to take here, and whether it will complete its
+     operation or declare faults is known only in the world that enables
+     it — so it counts as responding, and as faulted while the path's
+     fault budget lasts: dependence must hold for the step as it will run. *)
+  let blocked_step w fused l =
     match l.prog with
     | Sched.Prog.Atomic { label; fp; _ } ->
-      { E.si_tid = l.tid; si_label = label; si_fp = fp w; si_visible = false;
-        si_responds = false; si_branches = []; si_faults = []; si_fault_site = false }
+      { E.si_tid = l.tid; si_label = label; si_fp = fp w; si_visible = fused < fault_budget;
+        si_responds = true; si_branches = []; si_faults = []; si_fault_site = false }
     | Sched.Prog.Done _ | Sched.Prog.Mark _ -> assert false (* settled above *)
   in
   (* Take one alternative of thread step [si] — a normal outcome, or the
@@ -820,7 +823,9 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
      - race detection covers blocked threads' next steps as well as
        enabled ones (their footprints in the node's world), so a dependent
        step inside a lock holder's critical section cannot hide the race
-       between the holder's acquire and a waiter's;
+       between the holder's acquire and a waiter's.  A blocked step counts
+       as responding, and as faulted while fault budget remains
+       ([blocked_step]): what it does is known only once it is enabled;
      - unannotated steps ([Unknown] footprint) degrade to naive
        exploration around them.
      Parallel mode adds a fourth, also conservative, rule: every node above
@@ -1000,7 +1005,9 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                       if List.compare_lengths infos lives = 0 then []
                       else
                         List.filter_map
-                          (fun l -> if E.enabled_at node l.tid then None else Some (blocked_step w l))
+                          (fun l ->
+                            if E.enabled_at node l.tid then None
+                            else Some (blocked_step w fused l))
                           lives
                     in
                     E.detect_races ~blocked stack node

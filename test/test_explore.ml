@@ -254,29 +254,166 @@ let test_outcomes_net () =
         [ [ SK.Hosted.nput_call ph ~client:0 ~seq:0 0 (V.str "A"); SK.Hosted.bye_call ];
           [ SK.Hosted.srv_call ph 0 ] ])
 
-let test_diff_bugs_net () =
-  let module SK = Dist.Shard_kv in
-  let p0 = SK.params ~n_keys:1 ~n_clients:1 ~retries:0 () in
-  let pr = SK.params ~n_keys:1 ~n_clients:1 ~retries:1 () in
-  let pl = SK.params ~n_keys:1 ~n_clients:2 () in
-  differential "bug net: server without reply cache" (fun strategy ->
-      R.check ~strategy
-        (SK.checker_config p0 ~max_crashes:0 ~fault_budget:1
-           [ [ SK.Buggy.srv_call_no_cache p0 0 ];
-             [ SK.ninc_call p0 ~client:0 ~seq:0 0; SK.bye_call ] ]));
-  differential "bug net: raw retry without seq number" (fun strategy ->
-      R.check ~strategy
-        (SK.checker_config pr ~max_crashes:0 ~fault_budget:1
-           [ [ SK.srv_call pr 0 ];
-             [ SK.Buggy.nput_call_raw_retry pr ~client:0 ~seq:0 0 (V.str "A");
-               SK.nput_call p0 ~client:0 ~seq:1 0 (V.str "B");
-               SK.bye_call ] ]));
-  differential "bug net: lease write without epoch fence" (fun strategy ->
-      R.check ~strategy
-        (SK.checker_config pl ~max_crashes:0 ~fault_budget:0
-           [ [ SK.Buggy.linc_call_no_fence pl ~client:0 0 ];
-             [ SK.Buggy.linc_call_no_fence pl ~client:1 0 ];
-             [ SK.expire_call ] ]))
+(* A blocked step must count as possibly responding, and as faulted
+   while fault budget remains: both are known only once it is enabled.
+   Two hand-built instances over one world.  In each, [send] fills a
+   volatile channel and completes once the message is acknowledged, and
+   [recv] blocks on the empty channel, then takes and acknowledges the
+   message in one step that completes its operation.
+
+   - Responding: [tick] sets a durable flag that the spec requires before
+     any [recv] returns.  The seeded bug is a [recv] that does not wait
+     for the flag; its only symptom is a crash after [recv] returned and
+     before [tick] ran.
+   - Faulted: [recv] declares a fault whose post-world also clears the
+     volatile cell [x] (a fault branch may touch more than the step's
+     footprint); [set x] writes [x] and reads it back.
+
+   With [tick] (or [set x]) explored first, the race that puts [send],
+   and so the receive, before it is visible only while [recv] is
+   blocked. *)
+module Handoff = struct
+  module T = Tslang.Transition
+  module Spec = Tslang.Spec
+
+  type world = { chan : int option; acked : bool; ticked : bool; x : int; faulted : bool }
+
+  let init = { chan = None; acked = false; ticked = false; x = 0; faulted = false }
+  let chan = Fp.cell "chan"
+  let acked = Fp.cell "acked"
+  let flag = Fp.disk ~region:"flag" 0
+  let x = Fp.cell "x"
+
+  let pp_world ppf w =
+    Fmt.pf ppf "chan=%a acked=%b ticked=%b x=%d faulted=%b"
+      Fmt.(option ~none:(any "-") int)
+      w.chan w.acked w.ticked w.x w.faulted
+
+  let send =
+    let open Sched.Prog.Syntax in
+    let* () =
+      Sched.Prog.write ~fp:(Fp.const (Fp.writes [ chan ])) "send" (fun w ->
+          { w with chan = Some 1 })
+    in
+    Sched.Prog.blocked_until ~fp:(Fp.const (Fp.reads [ acked ])) "sent" (fun w ->
+        if w.acked then Some (w, V.unit) else None)
+
+  let take w = { w with chan = None; acked = true }
+
+  (* --- responding --- *)
+
+  let tick_spec : (int option * bool) Spec.t =
+    let open T.Syntax in
+    {
+      Spec.name = "handoff";
+      init = (None, false);
+      compare_state = compare;
+      pp_state = Fmt.(pair ~sep:comma (option ~none:(any "empty") int) bool);
+      step =
+        (fun op args ->
+          match (op, args) with
+          | "send", [] ->
+            let+ () = T.modify (fun (_, t) -> (Some 1, t)) in
+            V.unit
+          | "recv", [] ->
+            let* m, t = T.reads in
+            let* () = T.guard (t && m <> None) in
+            let+ () = T.puts (None, t) in
+            V.int (Option.get m)
+          | "tick", [] ->
+            let+ () = T.modify (fun (m, _) -> (m, true)) in
+            V.unit
+          | "ticked", [] -> T.gets (fun (_, t) -> V.bool t)
+          | _ -> invalid_arg "handoff spec");
+      crash = T.modify (fun (_, t) -> (None, t));
+    }
+
+  (* [~wait:false] is the seeded bug *)
+  let recv_after_tick ~wait =
+    let reads = if wait then [ chan; flag ] else [ chan ] in
+    Sched.Prog.blocked_until ~fp:(Fp.const (Fp.rw ~reads ~writes:[ chan; acked ] ())) "recv"
+      (fun w ->
+        match w.chan with
+        | Some v when w.ticked || not wait -> Some (take w, V.int v)
+        | _ -> None)
+
+  let tick =
+    Sched.Prog.det ~fp:(Fp.const (Fp.writes [ flag ])) "tick" (fun w ->
+        ({ w with ticked = true }, V.unit))
+
+  let ticked =
+    Sched.Prog.read ~fp:(Fp.const (Fp.reads [ flag ])) "ticked" (fun w -> V.bool w.ticked)
+
+  let tick_config ~wait =
+    R.config ~spec:tick_spec ~init_world:init
+      ~crash_world:(fun w -> { w with chan = None; acked = false })
+      ~pp_world
+      ~threads:
+        [ [ (Spec.call "recv" [], recv_after_tick ~wait) ];
+          [ (Spec.call "tick" [], tick) ];
+          [ (Spec.call "send" [], send) ] ]
+      ~recovery:(Sched.Prog.return V.unit)
+      ~post:[ (Spec.call "ticked" [], ticked) ]
+      ~max_crashes:1 ()
+
+  (* --- faulted --- *)
+
+  (* every result is allowed: only the outcome sets matter *)
+  let any_spec : unit Spec.t =
+    {
+      Spec.name = "handoff-any";
+      init = ();
+      compare_state = compare;
+      pp_state = Fmt.any "()";
+      step =
+        (fun op _ ->
+          match op with
+          | "send" -> T.ret V.unit
+          | "recv" -> T.choose [ V.int 1; Sched.Fault.err_value ]
+          | "set_x" | "x" -> T.choose [ V.int 0; V.int 1 ]
+          | _ -> invalid_arg "handoff-any spec");
+      crash = T.ret ();
+    }
+
+  let recv_faulty =
+    Sched.Prog.atomic ~fp:(Fp.const (Fp.rw ~reads:[ chan ] ~writes:[ chan; acked ] ()))
+      ~faults:(fun w ->
+        match w.chan with
+        | Some _ ->
+          [ (Sched.Fault.Msg_drop, { (take w) with x = 0; faulted = true }, Sched.Fault.err_value) ]
+        | None -> [])
+      "recv"
+      (fun w ->
+        match w.chan with
+        | Some v -> Sched.Prog.Steps [ (take w, V.int v) ]
+        | None -> Sched.Prog.Steps [])
+
+  let read_x = Sched.Prog.read ~fp:(Fp.const (Fp.reads [ x ])) "x" (fun w -> V.int w.x)
+
+  let set_x =
+    let open Sched.Prog.Syntax in
+    let* () =
+      Sched.Prog.write ~fp:(Fp.const (Fp.writes [ x ])) "set_x" (fun w -> { w with x = 1 })
+    in
+    read_x
+
+  let fault_config () =
+    R.config ~spec:any_spec ~init_world:init ~crash_world:Fun.id ~pp_world
+      ~threads:
+        [ [ (Spec.call "recv" [], recv_faulty) ];
+          [ (Spec.call "set_x" [], set_x) ];
+          [ (Spec.call "send" [], send) ] ]
+      ~recovery:(Sched.Prog.return V.unit)
+      ~post:[ (Spec.call "x" [], read_x) ]
+      ~max_crashes:0 ~fault_budget:1 ()
+end
+
+let test_blocked_response () =
+  outcome_differential "handoff: recv || tick || send + crash" (fun () ->
+      Handoff.tick_config ~wait:true);
+  differential "bug handoff: recv does not wait for tick" (fun strategy ->
+      R.check ~strategy (Handoff.tick_config ~wait:false));
+  outcome_differential "handoff: faulted recv || set x || send" Handoff.fault_config
 
 let test_outcomes_storage () =
   let module Wl = Perennial_wal.Wal in
@@ -531,7 +668,7 @@ let suite =
     Alcotest.test_case "differential: journal/kvs seeded bugs" `Quick
       test_diff_bugs_journal_kvs;
     Alcotest.test_case "outcome sets: net" `Quick test_outcomes_net;
-    Alcotest.test_case "differential: net seeded bugs" `Quick test_diff_bugs_net;
+    Alcotest.test_case "blocked steps may respond or fault" `Quick test_blocked_response;
     Alcotest.test_case "outcome sets: storage stack" `Quick test_outcomes_storage;
     Alcotest.test_case "kvs reduction: >=3x fewer executions" `Quick test_kvs_reduction;
     Alcotest.test_case "dependence: seeded pairs" `Quick test_dependence_seeded_pairs;
