@@ -484,12 +484,12 @@ let read_golden name =
 (* Run [cfg] under [strategy], sequentially and at domain counts 1/2/4,
    and check every reported counterexample is byte-identical to the
    golden.  Also checks the violating run's stats are identical across
-   domain counts (the work partition never depends on the domain count). *)
+   domain counts (the work partition never depends on the domain count),
+   and that a reduced strategy never explores more executions than naive. *)
 let check_golden name golden strategy cfg =
   let lanes_and_stats tag r =
     match r with
-    | R.Refinement_violated (f, stats) ->
-      (Fmt.str "%a" R.pp_failure_lanes f, Fmt.str "%a" R.pp_stats stats)
+    | R.Refinement_violated (f, stats) -> (Fmt.str "%a" R.pp_failure_lanes f, stats)
     | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" tag R.pp_stats stats
     | R.Budget_exhausted stats ->
       Alcotest.failf "%s: budget exhausted (%a)" tag R.pp_stats stats
@@ -498,28 +498,28 @@ let check_golden name golden strategy cfg =
     Printf.sprintf "%s under %s%s" name (E.strategy_name strategy)
       (match d with None -> "" | Some d -> Printf.sprintf ", %d domains" d)
   in
-  let lanes0, _ = lanes_and_stats (tag None) (R.check ~strategy (cfg ())) in
+  let lanes0, stats0 = lanes_and_stats (tag None) (R.check ~strategy (cfg ())) in
   Alcotest.(check string) (tag None ^ " lanes") golden lanes0;
+  if strategy <> E.Naive then begin
+    let _, naive = lanes_and_stats (tag None) (R.check ~strategy:E.Naive (cfg ())) in
+    if stats0.R.executions > naive.R.executions then
+      Alcotest.failf "%s: %d executions > naive's %d" (tag None) stats0.R.executions
+        naive.R.executions
+  end;
   let stats_ref = ref None in
   List.iter
     (fun d ->
       let lanes, stats = lanes_and_stats (tag (Some d)) (R.check ~strategy ~domains:d (cfg ())) in
       Alcotest.(check string) (tag (Some d) ^ " lanes") golden lanes;
+      let stats = Fmt.str "%a" R.pp_stats stats in
       match !stats_ref with
       | None -> stats_ref := Some stats
       | Some s0 -> Alcotest.(check string) (tag (Some d) ^ " stats") s0 stats)
     [ 1; 2; 4 ]
 
-(* Each strategy family has its own golden, as for bug 2: the DPOR family
-   picks one representative per commutation class, which need not be the
-   one naive's DFS reaches first.  Today both render the same lanes. *)
 let test_golden_bug_no_cache () =
-  let naive_golden = read_golden "net_bug1_dup_no_cache" in
-  let dpor_golden = read_golden "net_bug1_dup_no_cache.dpor" in
-  check_golden "net bug1" naive_golden E.Naive bug1_config;
-  List.iter
-    (fun s -> check_golden "net bug1" dpor_golden s bug1_config)
-    [ E.Dpor; E.Dpor_sleep ]
+  let golden = read_golden "net_bug1_dup_no_cache" in
+  List.iter (fun s -> check_golden "net bug1" golden s bug1_config) E.all_strategies
 
 (* The DPOR family reports a different — equally valid — representative
    of bug 2's violation class: the client's [retry_rpc] backoff step is
