@@ -109,9 +109,10 @@ val enabled_at : 'w node -> int -> bool
 val detect_races : blocked:'w step_info list -> 'w frame list -> 'w node -> unit
 (** For each enabled step of the node, and each step in [blocked] (the
     next steps of the node's blocked threads, with their footprints at the
-    node's world and conservative [si_responds]/[si_visible]), find the most recent dependent, may-be-co-enabled step
-    by another thread on the path (newest frame first) and add backtrack
-    points at that frame's node. *)
+    node's world and conservative [si_responds]/[si_visible]), find the
+    most recent dependent, may-be-co-enabled step by another thread on the
+    path (newest frame first) and add backtrack points at that frame's
+    node. *)
 
 val next_candidate : 'w node -> 'w step_info option
 (** Next backtrack candidate not yet done, in enabled order. *)
