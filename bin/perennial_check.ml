@@ -3,7 +3,7 @@
    exhaustive refinement checks (its conclusion) for each system.
 
    Usage: perennial_check [outlines|refinement|kvs|wal|fs|faults|net|strategies|all]
-                          [--strategy naive|dpor|dpor+sleep]
+                          [--strategy naive|dpor+sleep]
                           [--faults N] [--max-seconds S]
                           [--domains N] [--fingerprint] [--symmetry]
                           [--trace FILE] [--metrics]
@@ -23,12 +23,12 @@
    --coverage-out FILE  also write the perennial-coverage/v1 JSON report.
    --explain     record pruning provenance and print the ranked report of
                  which (rule, site) pairs the reduction skipped and why —
-                 meaningful with --strategy dpor or dpor+sleep.
+                 meaningful with --strategy dpor+sleep.
    --progress    print a live one-line progress status (execs/sec, frontier
                  depth, fault-schedule index, budget ETA) to stderr.
    --strategy    exploration strategy for the exhaustive checks (default
-                 naive); the strategies selection cross-checks all of them
-                 against each other and fails on any verdict mismatch or
+                 naive); the strategies selection cross-checks dpor+sleep
+                 against naive and fails on any verdict mismatch or
                  pruning regression (DPOR exploring MORE than naive).
    --faults N    per-execution fault budget for the faults selection
                  (default 2): the checker enumerates every schedule of at
@@ -43,7 +43,7 @@
                  identical to the sequential run; only wall time changes.
    --fingerprint hash-consed state fingerprinting: prune subtrees whose
                  canonical state was already explored (naive strategy
-                 only — the checker rejects it under dpor).
+                 only — the checker rejects it under dpor+sleep).
    --symmetry    additionally canonicalize interchangeable threads before
                  fingerprinting (implies --fingerprint). *)
 
@@ -67,7 +67,7 @@ let fingerprint = ref false
 let symmetry = ref false
 
 let rcheck ?faults ~strategy cfg =
-  (* fingerprinting is naive-only; the strategies cross-check iterates all
+  (* fingerprinting is naive-only; the strategies cross-check runs both
      strategies, so apply it just to the naive runs there *)
   let fp = !fingerprint && strategy = E.Naive in
   R.check ~strategy ?faults ?max_seconds:!max_secs ?domains:!domains ~fingerprint:fp
@@ -512,11 +512,11 @@ let run_net ~strategy ~faults () =
                 [ SK.Buggy.linc_call_no_fence p ~client:1 0 ];
                 [ SK.expire_call ] ]))))
 
-(* Cross-strategy guard: every strategy must reach the same verdict on the
-   bundled instances, the reduced strategies must never explore more
-   executions than naive, and they must reach exactly naive's number of
-   distinct fault schedules — a deterministic count that drops when a
-   reduction loses behaviour.  This is the CI pruning-regression gate. *)
+(* Cross-strategy guard: dpor+sleep must reach naive's verdict on the
+   bundled instances, must never explore more executions than naive, and
+   must reach exactly naive's number of distinct fault schedules — a
+   deterministic count that drops when a reduction loses behaviour.  This
+   is the CI pruning-regression gate. *)
 let run_strategies () =
   print_endline "Exploration-strategy cross-check (verdicts + pruning guard):";
   let vx = V.str "x" and vy = V.str "y" in
@@ -701,7 +701,7 @@ let () =
         strategy := st;
         parse rest
       | None ->
-        Printf.eprintf "perennial_check: unknown strategy %s (want naive|dpor|dpor+sleep)\n" s;
+        Printf.eprintf "perennial_check: unknown strategy %s (want naive|dpor+sleep)\n" s;
         exit 2)
     | "--strategy" :: [] ->
       prerr_endline "perennial_check: --strategy needs an argument";

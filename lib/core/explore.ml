@@ -1,20 +1,14 @@
 module Fp = Sched.Footprint
 
-type strategy = Naive | Dpor | Dpor_sleep
+type strategy = Naive | Dpor_sleep
 
-let all_strategies = [ Naive; Dpor; Dpor_sleep ]
+let all_strategies = [ Naive; Dpor_sleep ]
 
 let strategy_name = function
   | Naive -> "naive"
-  | Dpor -> "dpor"
   | Dpor_sleep -> "dpor+sleep"
 
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "naive" -> Some Naive
-  | "dpor" -> Some Dpor
-  | "dpor+sleep" | "dpor_sleep" | "sleep" -> Some Dpor_sleep
-  | _ -> None
+let strategy_of_string s = List.find_opt (fun st -> strategy_name st = s) all_strategies
 
 let pp_strategy ppf s = Fmt.string ppf (strategy_name s)
 

@@ -9,12 +9,12 @@
     {!Refinement.check} uses to prune such redundant schedules:
 
     - {b Naive}: the original exhaustive enumeration, unchanged;
-    - {b Dpor}: backtracking-based DPOR over thread steps, plus crash-point
-      pruning (a crash branch is skipped when it would reach the exact same
-      recovery state and linearization obligations as an already-explored
-      crash at the nearest "dirty" ancestor);
-    - {b Dpor_sleep}: DPOR with sleep sets stacked on top, filtering
-      already-explored siblings out of re-exploration.
+    - {b Dpor_sleep}: backtracking-based DPOR over thread steps with sleep
+      sets stacked on top (already-explored siblings are filtered out of
+      re-exploration), plus crash-point pruning (a crash branch is skipped
+      when it would reach the exact same recovery state and linearization
+      obligations as an already-explored crash at the nearest "dirty"
+      ancestor).
 
     Dependence is crash-aware.  Two steps by different threads are
     dependent (never reordered) when either has fault branches to explore,
@@ -44,14 +44,16 @@
     the verdict for every bundled system and seeded-bug variant, and on
     the set of reachable post-phase outcomes for the holding ones. *)
 
-type strategy = Naive | Dpor | Dpor_sleep
+type strategy = Naive | Dpor_sleep
 
 val all_strategies : strategy list
 
 val strategy_name : strategy -> string
-(** ["naive"], ["dpor"], ["dpor+sleep"] — the [--strategy] spellings. *)
+(** ["naive"], ["dpor+sleep"] — the [--strategy] spellings. *)
 
 val strategy_of_string : string -> strategy option
+(** Inverse of {!strategy_name}; [None] for any other string. *)
+
 val pp_strategy : strategy Fmt.t
 
 (** {2 DPOR machinery}

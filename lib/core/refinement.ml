@@ -798,8 +798,8 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
      [rpath] is the reversed branch-index path (kept only when emitting
      work items).
 
-     Partial-order reduction is Flanagan–Godefroid DPOR over thread steps,
-     optional sleep sets, plus crash-point pruning.  Soundness rests on
+     Partial-order reduction is Flanagan–Godefroid DPOR over thread steps
+     with sleep sets, plus crash-point pruning.  Soundness rests on
      these rules (cross-validated against [Naive] by the verdict and
      outcome-set differentials in test/test_explore.ml):
      - a crash branch is skipped only at "clean" nodes — the step into the
@@ -834,11 +834,12 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
      shallow node owned by another instance (the add would be a no-op
      anyway).  The shallow region loses some reduction; the subtrees keep
      full DPOR.  Within parallel mode the exploration is a fixed function
-     of [split_depth], hence identical for every domain count. *)
+     of the constant [split_depth], hence identical for every domain
+     count. *)
   let dfs ~strategy ~cutoff ~emit ~replay ~fp =
     let replay = ref replay in
     let emitting = emit <> None in
-    let por = strategy <> E.Naive and sleep_sets = strategy = E.Dpor_sleep in
+    let por = strategy <> E.Naive in
     let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp <> None then 4096 else 1) in
     let vstr v = Fmt.str "%a" V.pp v in
     (* A thread's continuation identity: MD5 over the structural
@@ -1020,7 +1021,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                     | None -> ()
                     | Some si ->
                       node.E.n_done <- si.E.si_tid :: node.E.n_done;
-                      if (not conservative) && sleep_sets && List.mem si.E.si_tid !z then begin
+                      if (not conservative) && List.mem si.E.si_tid !z then begin
                         incr slept;
                         bump ctr C.sleep_skips;
                         if E.Prov.enabled () then
@@ -1031,7 +1032,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                         incr explored;
                         if !first_explored = None then first_explored := Some si.E.si_label;
                         let child_sleep =
-                          if conservative || not sleep_sets then []
+                          if conservative then []
                           else
                             List.filter
                               (fun tid ->
@@ -1045,7 +1046,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                         explore si
                           ~stack:({ E.f_node = node; f_step = si } :: stack)
                           ~sleep:child_sleep;
-                        if sleep_sets && not conservative then z := si.E.si_tid :: !z
+                        if not conservative then z := si.E.si_tid :: !z
                       end;
                       drive ()
                   in
@@ -1167,9 +1168,12 @@ let pool ~domains ~into n_items job =
   Array.iter (merge_into into) ctrs;
   Array.find_opt (function I_ok -> false | I_viol _ | I_budget -> true) results
 
+(* Depth of the sequential splitting phase of a parallel check: every
+   subtree rooted at this depth is one work item. *)
+let split_depth = 2
+
 let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
-    ?(split_depth = 2) ?(fingerprint = false) ?(symmetry = false) ?key_prefix
-    (cfg : (w, s) config) : result =
+    ?(fingerprint = false) ?(symmetry = false) ?key_prefix (cfg : (w, s) config) : result =
   if symmetry && not fingerprint then
     invalid_arg "Refinement.check: ~symmetry requires ~fingerprint:true";
   if fingerprint && strategy <> Explore.Naive then
@@ -1179,7 +1183,6 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   (match domains with
   | Some n when n < 1 -> invalid_arg "Refinement.check: domains must be >= 1"
   | _ -> ());
-  if split_depth < 1 then invalid_arg "Refinement.check: split_depth must be >= 1";
   Obs.Metrics.inc Mx.checks;
   let fault_budget =
     match faults with Some n -> max 0 n | None -> cfg.fault_budget
@@ -1230,13 +1233,10 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   Obs.Metrics.add (Explore.strategy_us strategy) (Obs.Trace.now_us () -. t0);
   r
 
-let check_exn ?strategy ?faults ?max_seconds ?domains ?split_depth ?fingerprint
-    ?symmetry ?key_prefix cfg =
+let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix
+    cfg =
   let t0 = Obs.Trace.now_us () in
-  match
-    check ?strategy ?faults ?max_seconds ?domains ?split_depth ?fingerprint ?symmetry
-      ?key_prefix cfg
-  with
+  match check ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix cfg with
   | Refinement_holds stats -> stats
   | Refinement_violated (f, stats) ->
     failwith (Fmt.str "@[<v>Refinement_violated: %a@,stats: %a@]" pp_failure f pp_stats stats)
@@ -1292,9 +1292,7 @@ let check_random_walks ~schedules ~first ~last ~seed ~crash_prob ?domains cfg =
 let check_random ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ?domains cfg =
   check_random_walks ~schedules ~first:1 ~last:schedules ~seed ~crash_prob ?domains cfg
 
-let check_random_replay ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ?domains
-    ~schedule cfg =
+let check_random_replay ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ~schedule cfg =
   if schedule < 1 || schedule > schedules then
     invalid_arg "Refinement.check_random_replay: schedule out of range";
-  check_random_walks ~schedules ~first:schedule ~last:schedule ~seed ~crash_prob ?domains
-    cfg
+  check_random_walks ~schedules ~first:schedule ~last:schedule ~seed ~crash_prob cfg

@@ -166,15 +166,14 @@ val check :
   ?faults:int ->
   ?max_seconds:float ->
   ?domains:int ->
-  ?split_depth:int ->
   ?fingerprint:bool ->
   ?symmetry:bool ->
   ?key_prefix:string ->
   ('w, 's) config ->
   result
 (** Exhaustive check under the given exploration strategy (default
-    {!Explore.Naive}).  The partial-order-reduced strategies
-    ({!Explore.Dpor}, {!Explore.Dpor_sleep}) explore a sound subset of the
+    {!Explore.Naive}).  The partial-order-reduced strategy
+    {!Explore.Dpor_sleep} explores a sound subset of the
     interleavings — same verdict, fewer executions; the reduction is
     measurable in the returned {!stats} ([commutations_pruned],
     [crash_skips], [sleep_skips]).  Their dependence relation is
@@ -185,20 +184,19 @@ val check :
     [?faults] overrides the config's [fault_budget]: all fault schedules
     with at most that many injections are enumerated alongside all crash
     points.  Steps with fault branches to explore are globally dependent
-    under DPOR (never reordered), so the reduced strategies stay sound
+    under DPOR (never reordered), so the reduced strategy stays sound
     with faults on.
     [?max_seconds] overrides the config's wall-clock budget.
 
     {b Parallel exploration.}  [~domains:n] runs the check on [n] domains
     (OCaml 5 multicore; [n >= 1], [Invalid_argument] otherwise).  A
     sequential splitting phase first explores every schedule prefix
-    shallower than [split_depth] (default 2), turning each subtree rooted
-    at that depth into a work item; idle domains then pull items and
-    explore the subtrees concurrently.  The partition is a fixed function
-    of [split_depth] — {e never} of [n] — and every item runs to
-    completion, so the verdict, the reported counterexample (the first in
-    sequential DFS order), and every field of {!stats} are identical for
-    every [n] at a fixed [split_depth].  (On a {e violating} instance the
+    shallower than a fixed depth of 2, turning each subtree rooted at that
+    depth into a work item; idle domains then pull items and explore the
+    subtrees concurrently.  The partition is a fixed function of the
+    instance — {e never} of [n] — and every item runs to completion, so
+    the verdict, the reported counterexample (the first in sequential DFS
+    order), and every field of {!stats} are identical for every [n].  (On a {e violating} instance the
     parallel stats exceed a plain sequential run's: the sequential checker
     aborts at the first violation, while parallel items all run to
     completion — stopping early would make the merged stats depend on
@@ -209,8 +207,8 @@ val check :
     [perennial_refinement_steals_total] metric is timing-dependent by
     design.  The step budget is shared: each item starts from the
     splitting phase's spend, so {!Budget_exhausted} fires under the same
-    total-step ceiling as a sequential run.  Under DPOR strategies, nodes
-    above the cutoff are explored conservatively (all enabled steps, no
+    total-step ceiling as a sequential run.  Under {!Explore.Dpor_sleep},
+    nodes above the cutoff are explored conservatively (all enabled steps, no
     sleep sets), so a parallel DPOR run may explore {e more} executions
     than a sequential one — but the same number at any two domain counts.
 
@@ -234,7 +232,6 @@ val check_exn :
   ?faults:int ->
   ?max_seconds:float ->
   ?domains:int ->
-  ?split_depth:int ->
   ?fingerprint:bool ->
   ?symmetry:bool ->
   ?key_prefix:string ->
@@ -284,7 +281,6 @@ val check_random_replay :
   ?schedules:int ->
   ?seed:int ->
   ?crash_prob:float ->
-  ?domains:int ->
   schedule:int ->
   ('w, 's) config ->
   result

@@ -1,11 +1,11 @@
-(* The soundness argument for the partial-order-reduced strategies is
+(* The soundness argument for the partial-order-reduced strategy is
    differential: for every bundled system and every seeded-bug variant,
-   {!Explore.Dpor} and {!Explore.Dpor_sleep} must reach exactly the verdict
-   of {!Explore.Naive} — while never exploring more executions.  On top of
+   {!Explore.Dpor_sleep} must reach exactly the verdict of
+   {!Explore.Naive} — while never exploring more executions.  On top of
    that:
 
    - an outcome-set differential: on holding instances the reduced
-     strategies must reach exactly naive's set of post-phase outcomes
+     strategy must reach exactly naive's set of post-phase outcomes
      (the world the post phase starts from plus every probe's result),
      since a reduction that loses behaviours can still keep the verdict;
    - qcheck properties over the dependence relation: swapping adjacent
@@ -16,9 +16,11 @@
    - golden counterexample snapshots: the [pp_failure_lanes] rendering of
      the seeded journal/kvs bugs and the refuted strict-KVS spec is
      byte-for-byte identical under every strategy (test/golden/);
-   - the reduction is real: on the kvs put||get instance DPOR must explore
-     at least 3x fewer executions than naive, with nonzero
-     [commutations_pruned] and [crash_skips]. *)
+   - the reduction is real: on the kvs put||get instance DPOR+sleep must
+     explore at least 3x fewer executions than naive, with nonzero
+     [commutations_pruned], [crash_skips] and [sleep_skips];
+   - [strategy_of_string] accepts exactly the names [strategy_name]
+     prints. *)
 
 module V = Tslang.Value
 module R = Perennial_core.Refinement
@@ -175,7 +177,7 @@ let test_diff_bugs_journal_kvs () =
    still passes a holding instance.  So, test-only, wrap the post probes
    to record each completed post phase's outcome — the rendered world at
    the start of the phase plus every probe's result — and require the
-   reduced strategies to reach exactly naive's set of outcomes.  Each
+   reduced strategy to reach exactly naive's set of outcomes.  Each
    record is a [Footprint.pure] step: its action runs exactly once, at the
    point of the explored path that takes it. *)
 let with_outcomes (cfg : ('w, 's) R.config) =
@@ -230,7 +232,7 @@ let outcome_differential name (cfg : unit -> ('w, 's) R.config) =
           | o :: _ -> String.concat " | " o
           | [] -> "(none: extra outcomes)")
       end)
-    [ E.Dpor; E.Dpor_sleep ]
+    [ E.Dpor_sleep ]
 
 let test_outcomes_net () =
   let module SK = Dist.Shard_kv in
@@ -467,15 +469,26 @@ let test_kvs_reduction () =
     | _ -> Alcotest.failf "kvs put||get should hold under %s" name
   in
   let naive = st "naive" (run E.Naive) in
-  let dpor = st "dpor" (run E.Dpor) in
-  if dpor.R.executions * 3 > naive.R.executions then
-    Alcotest.failf "dpor explored %d executions, naive %d: less than the required 3x reduction"
-      dpor.R.executions naive.R.executions;
-  Alcotest.(check bool) "dpor pruned commutations" true (dpor.R.commutations_pruned > 0);
-  Alcotest.(check bool) "dpor skipped clean crash points" true (dpor.R.crash_skips > 0);
-  let sleep = st "dpor+sleep" (run E.Dpor_sleep) in
-  Alcotest.(check bool) "sleep sets explore no more than dpor" true
-    (sleep.R.executions <= dpor.R.executions)
+  let red = st "dpor+sleep" (run E.Dpor_sleep) in
+  if red.R.executions * 3 > naive.R.executions then
+    Alcotest.failf
+      "dpor+sleep explored %d executions, naive %d: less than the required 3x reduction"
+      red.R.executions naive.R.executions;
+  Alcotest.(check bool) "dpor+sleep pruned commutations" true (red.R.commutations_pruned > 0);
+  Alcotest.(check bool) "dpor+sleep skipped clean crash points" true (red.R.crash_skips > 0);
+  Alcotest.(check bool) "dpor+sleep skipped sleeping steps" true (red.R.sleep_skips > 0)
+
+let test_strategy_spellings () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (E.strategy_name s ^ " round-trips") true
+        (E.strategy_of_string (E.strategy_name s) = Some s))
+    E.all_strategies;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is rejected") true (E.strategy_of_string name = None))
+    [ "dpor"; "sleep"; "dpor_sleep" ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: the dependence relation                                     *)
@@ -671,6 +684,8 @@ let suite =
     Alcotest.test_case "blocked steps may respond or fault" `Quick test_blocked_response;
     Alcotest.test_case "outcome sets: storage stack" `Quick test_outcomes_storage;
     Alcotest.test_case "kvs reduction: >=3x fewer executions" `Quick test_kvs_reduction;
+    Alcotest.test_case "strategy spellings: exactly the printed names" `Quick
+      test_strategy_spellings;
     Alcotest.test_case "dependence: seeded pairs" `Quick test_dependence_seeded_pairs;
     QCheck_alcotest.to_alcotest prop_independent_steps_commute;
     QCheck_alcotest.to_alcotest prop_same_address_write_dependent;

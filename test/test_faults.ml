@@ -240,7 +240,7 @@ let test_rd_no_retry_caught_by_walks () =
   Alcotest.(check bool) "walks observe retries" true (stats.R.retries_observed > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Golden fault counterexample (all three strategies)                   *)
+(* Golden fault counterexample (both strategies)                        *)
 (* ------------------------------------------------------------------ *)
 
 let read_golden name =

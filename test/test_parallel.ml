@@ -2,8 +2,8 @@
 
    The multicore checker's contract (Refinement.check ~domains) is that the
    domain count buys wall time and nothing else: verdict, counterexample and
-   every stats field must be a fixed function of the instance and
-   [split_depth].  This suite pins that down differentially:
+   every stats field must be a fixed function of the instance (the split
+   depth is a constant).  This suite pins that down differentially:
 
    - every bundled system and seeded bug, under naive and dpor+sleep, run at
      domains 1/2/4/8: identical verdicts, identical stats records, identical
@@ -24,7 +24,7 @@
      (metrics registry, coverage table);
    - check_random with domains: same failing walk, same reason prefix, same
      merged stats at any domain count, and the [seed/schedule] pair replays
-     the failure on its own at any domain count. *)
+     the failure on its own. *)
 
 module V = Tslang.Value
 module R = Perennial_core.Refinement
@@ -272,9 +272,8 @@ let test_bad_arguments () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   expect_invalid "domains=0" (fun () -> R.check ~domains:0 cfg);
-  expect_invalid "split_depth=0" (fun () -> R.check ~domains:2 ~split_depth:0 cfg);
-  expect_invalid "fingerprint under dpor" (fun () ->
-      R.check ~strategy:E.Dpor ~fingerprint:true cfg);
+  expect_invalid "fingerprint under dpor+sleep" (fun () ->
+      R.check ~strategy:E.Dpor_sleep ~fingerprint:true cfg);
   expect_invalid "symmetry without fingerprint" (fun () -> R.check ~symmetry:true cfg);
   expect_invalid "check_random domains=0" (fun () -> R.check_random ~domains:0 cfg)
 
@@ -693,20 +692,14 @@ let test_random_domains () =
       check_stats (Printf.sprintf "random stats domains=%d vs 1" n) (stats_of d1)
         (stats_of r))
     [ 2; 4 ];
-  (* the reason prefix alone replays the failure, at any domain count *)
+  (* the reason prefix alone replays the failure *)
   let schedule =
     Scanf.sscanf seq_reason "[seed=%d schedule=%d/%d]" (fun _ i _ -> i)
   in
-  List.iter
-    (fun domains ->
-      match
-        R.check_random_replay ~schedules ~seed ~crash_prob ?domains ~schedule
-          random_bug_cfg
-      with
-      | R.Refinement_violated (f, _) ->
-        Alcotest.(check string) "replayed reason" seq_reason f.R.reason
-      | r -> Alcotest.failf "replay: expected violation, got %s" (verdict r))
-    [ None; Some 2 ]
+  match R.check_random_replay ~schedules ~seed ~crash_prob ~schedule random_bug_cfg with
+  | R.Refinement_violated (f, _) ->
+    Alcotest.(check string) "replayed reason" seq_reason f.R.reason
+  | r -> Alcotest.failf "replay: expected violation, got %s" (verdict r)
 
 let test_random_domains_honest () =
   let run domains =

@@ -25,8 +25,8 @@ let render_result r =
   in
   Fmt.str "%s | %a | lanes=%s" verdict R.pp_stats stats lanes
 
-(* Exhaustive instances: each row runs under all three strategies, with
-   and without [~domains:2]. *)
+(* Exhaustive instances: each row runs under both strategies, with and
+   without [~domains:2]. *)
 let exhaustive : (string * (E.strategy -> ?domains:int -> unit -> R.result)) list =
   let module RD = Systems.Replicated_disk in
   let module K = Journal.Kvs in

@@ -2,7 +2,7 @@
    - positive refinement of Circ (atomic append/trim ring) and Wal
      (atomic multiwrite with logger/installer threads, absorption, flush)
      against their specs — interleavings x crash points (incl. crash
-     during recovery) x fault schedules, under all three strategies and
+     during recovery) x fault schedules, under both strategies and
      domain counts 1/2/4;
    - the differential backend harness: Txn_log's [`Wal] backend must
      agree verdict-for-verdict with the [`Direct] backend on the existing
@@ -11,7 +11,7 @@
      accounting) and log absorption (last-writer-wins per address, order
      of last occurrence preserved);
    - the three seeded WAL bugs, each caught with a golden
-     [pp_failure_lanes] counterexample byte-identical across all three
+     [pp_failure_lanes] counterexample byte-identical across both
      strategies and domain counts 1/2/4;
    - the Fingerprint regression: continuation digests (Marshal on
      closures) are stable across two identical [check ~fingerprint] runs
