@@ -5,7 +5,7 @@
    Usage: perennial_check [outlines|refinement|kvs|wal|fs|faults|net|strategies|all]
                           [--strategy naive|dpor+sleep]
                           [--faults N] [--max-seconds S]
-                          [--domains N] [--fingerprint] [--symmetry]
+                          [--domains N] [--fingerprint]
                           [--trace FILE] [--metrics]
                           [--coverage] [--coverage-out FILE]
                           [--explain] [--progress]
@@ -41,11 +41,9 @@
    --domains N   run every exhaustive check on N domains (OCaml 5
                  multicore).  Verdicts, counterexamples and stats are
                  identical to the sequential run; only wall time changes.
-   --fingerprint hash-consed state fingerprinting: prune subtrees whose
-                 canonical state was already explored (naive strategy
-                 only — the checker rejects it under dpor+sleep).
-   --symmetry    additionally canonicalize interchangeable threads before
-                 fingerprinting (implies --fingerprint). *)
+   --fingerprint state fingerprinting: prune subtrees whose state key was
+                 already explored in the same check (naive strategy only —
+                 the checker rejects it under dpor+sleep). *)
 
 module V = Tslang.Value
 module R = Perennial_core.Refinement
@@ -62,16 +60,14 @@ let max_secs : float option ref = ref None
    stats as sequential; see Refinement.check) *)
 let domains : int option ref = ref None
 
-(* --fingerprint / --symmetry: hash-consed state pruning (naive strategy) *)
+(* --fingerprint: state-key pruning (naive strategy) *)
 let fingerprint = ref false
-let symmetry = ref false
 
 let rcheck ?faults ~strategy cfg =
   (* fingerprinting is naive-only; the strategies cross-check runs both
      strategies, so apply it just to the naive runs there *)
   let fp = !fingerprint && strategy = E.Naive in
-  R.check ~strategy ?faults ?max_seconds:!max_secs ?domains:!domains ~fingerprint:fp
-    ~symmetry:(!symmetry && fp) cfg
+  R.check ~strategy ?faults ?max_seconds:!max_secs ?domains:!domains ~fingerprint:fp cfg
 
 let report name result =
   match result with
@@ -691,10 +687,6 @@ let () =
     | "--fingerprint" :: rest ->
       fingerprint := true;
       parse rest
-    | "--symmetry" :: rest ->
-      fingerprint := true;
-      symmetry := true;
-      parse rest
     | "--strategy" :: s :: rest ->
       (match E.strategy_of_string s with
       | Some st ->
@@ -713,8 +705,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if !fingerprint && !strategy <> E.Naive then begin
     prerr_endline
-      "perennial_check: --fingerprint/--symmetry require --strategy naive (state \
-       caching is unsound under DPOR)";
+      "perennial_check: --fingerprint requires --strategy naive (state caching is \
+       unsound under DPOR)";
     exit 2
   end;
   let what = !what in

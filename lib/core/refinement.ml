@@ -423,7 +423,7 @@ type driver =
       cutoff : int;
       emit : (int list -> unit) option;
       replay : int list;
-      fp : (bool * string option) option;
+      fp : bool;
     }
   | Walks of { seed : int; crash_prob : float; first : int; last : int; schedules : int }
 
@@ -840,7 +840,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
     let replay = ref replay in
     let emitting = emit <> None in
     let por = strategy <> E.Naive in
-    let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp <> None then 4096 else 1) in
+    let fp_seen : (string, unit) Hashtbl.t = Hashtbl.create (if fp then 4096 else 1) in
     let vstr v = Fmt.str "%a" V.pp v in
     (* A thread's continuation identity: MD5 over the structural
        serialization of (current call, program position, remaining ops),
@@ -849,21 +849,20 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
        structurally identical continuations, hence identical future
        behaviour; distinct keys for behaviourally equal threads only cost
        pruning, never soundness.  Code pointers are stable within a process
-       (and across its domains), which is exactly the lifetime of the intern
-       table's relevance. *)
+       (and across its domains), and a key never outlives the check that
+       rendered it. *)
     let thread_key l =
       Digest.to_hex
         (Digest.string (Marshal.to_string (l.call, l.prog, l.rest) [ Marshal.Closures ]))
     in
-    (* Global fingerprint pruning (DESIGN.md S21): at a settled node, digest
+    (* Fingerprint pruning (DESIGN.md S21): at a settled node, key
        everything the subtree is a function of; if this instance has
-       explored an equal digest before, the whole subtree (crash branch
+       explored an equal key before, the whole subtree (crash branch
        included) is redundant.  Naive strategy only — under DPOR the
        backtrack sets of the pruned path's nodes would be lost. *)
     let fp_prune w lives cands crashes fused fsite =
-      match fp with
-      | None -> false
-      | Some (symmetry, key_prefix) ->
+      fp
+      &&
         let st =
           {
             Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
@@ -884,24 +883,22 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
                         pend;
                   })
                 (Tracker.candidates cands);
-            f_phase = "main";
             f_crashes = crashes;
             f_fused = fused;
             f_fsite = fsite;
             f_threads =
               List.map
-                (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l; f_hist = [] })
+                (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l })
                 (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
           }
         in
-        let t, _fresh = Fingerprint.digest ~symmetry ?key_prefix st in
-        let id = Fingerprint.id t in
-        if Hashtbl.mem fp_seen id then begin
+        let key = Fingerprint.key st in
+        if Hashtbl.mem fp_seen key then begin
           bump ctr C.fingerprint_hits;
           true
         end
         else begin
-          Hashtbl.add fp_seen id ();
+          Hashtbl.add fp_seen key ();
           bump ctr C.fingerprint_misses;
           false
         end
@@ -1173,9 +1170,7 @@ let pool ~domains ~into n_items job =
 let split_depth = 2
 
 let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
-    ?(fingerprint = false) ?(symmetry = false) ?key_prefix (cfg : (w, s) config) : result =
-  if symmetry && not fingerprint then
-    invalid_arg "Refinement.check: ~symmetry requires ~fingerprint:true";
+    ?(fingerprint = false) (cfg : (w, s) config) : result =
   if fingerprint && strategy <> Explore.Naive then
     invalid_arg
       "Refinement.check: ~fingerprint requires the Naive strategy (global state \
@@ -1190,10 +1185,9 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   let deadline =
     deadline_of (match max_seconds with Some _ -> max_seconds | None -> cfg.max_seconds)
   in
-  let fp = if fingerprint then Some (symmetry, key_prefix) else None in
   let sched_seen = Hashtbl.create 16 and sched_lock = Mutex.create () in
   let run ?(cutoff = max_int) ?emit ?(replay = []) ~step_base ctr =
-    run_instance cfg ~driver:(Dfs { strategy; cutoff; emit; replay; fp }) ~fault_budget
+    run_instance cfg ~driver:(Dfs { strategy; cutoff; emit; replay; fp = fingerprint }) ~fault_budget
       ~deadline ~step_base ~sched_seen ~sched_lock ~ctr
   in
   let t0 = Obs.Trace.now_us () in
@@ -1233,10 +1227,9 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   Obs.Metrics.add (Explore.strategy_us strategy) (Obs.Trace.now_us () -. t0);
   r
 
-let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix
-    cfg =
+let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint cfg =
   let t0 = Obs.Trace.now_us () in
-  match check ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix cfg with
+  match check ?strategy ?faults ?max_seconds ?domains ?fingerprint cfg with
   | Refinement_holds stats -> stats
   | Refinement_violated (f, stats) ->
     failwith (Fmt.str "@[<v>Refinement_violated: %a@,stats: %a@]" pp_failure f pp_stats stats)

@@ -167,8 +167,6 @@ val check :
   ?max_seconds:float ->
   ?domains:int ->
   ?fingerprint:bool ->
-  ?symmetry:bool ->
-  ?key_prefix:string ->
   ('w, 's) config ->
   result
 (** Exhaustive check under the given exploration strategy (default
@@ -212,9 +210,9 @@ val check :
     sleep sets), so a parallel DPOR run may explore {e more} executions
     than a sequential one — but the same number at any two domain counts.
 
-    {b Fingerprint pruning.}  [~fingerprint:true] digests every settled
-    node with {!Fingerprint.digest} and prunes the subtree when an equal
-    digest was already explored in this check ([fingerprint_hits] /
+    {b Fingerprint pruning.}  [~fingerprint:true] renders every settled
+    node's {!Fingerprint.key} and prunes the subtree when an equal key
+    was already explored in this check ([fingerprint_hits] /
     [fingerprint_misses] in {!stats}).  Sound for the verdict — equal
     fingerprints have identical subtrees (DESIGN.md §S21) — and requires
     the {!Explore.Naive} strategy ([Invalid_argument] otherwise): pruning
@@ -222,10 +220,7 @@ val check :
     backtrack-set computation.  Under [~domains] each work item prunes
     against its own seen-set (cross-item sharing would make stats depend
     on timing), so parallel fingerprint runs prune less than sequential
-    ones but stay deterministic.  [~symmetry:true] (requires
-    [~fingerprint:true]) additionally canonicalizes interchangeable
-    threads — and, with [?key_prefix], renamable resource tokens — before
-    digesting; see {!Fingerprint.canonical} for the obligations. *)
+    ones but stay deterministic. *)
 
 val check_exn :
   ?strategy:Explore.strategy ->
@@ -233,8 +228,6 @@ val check_exn :
   ?max_seconds:float ->
   ?domains:int ->
   ?fingerprint:bool ->
-  ?symmetry:bool ->
-  ?key_prefix:string ->
   ('w, 's) config ->
   stats
 (** Like {!check} but raises [Failure] with a rendered report on violation

@@ -13,13 +13,11 @@
      DFS);
    - the golden counterexamples of test/golden/ stay byte-identical when
      found by a parallel run;
-   - qcheck properties for the fingerprint canonicalizer: token-renaming
-     idempotence and permutation-invariance, thread-relabeling invariance
-     under symmetry, injectivity smoke, and digest stability across
-     structurally-equal states (nothing physical leaks into the key);
+   - qcheck properties for the fingerprint key: injectivity smoke, and
+     key stability across structurally-equal states (nothing physical
+     leaks into the key);
    - fingerprint pruning never changes a verdict, prunes for real on the
-     kvs instances, and the symmetry quotient prunes at least as hard on
-     instances with interchangeable threads;
+     kvs instances, and stays domain-count deterministic;
    - the obs layer survives a 4-domain hammer with exact totals
      (metrics registry, coverage table);
    - check_random with domains: same failing walk, same reason prefix, same
@@ -274,57 +272,11 @@ let test_bad_arguments () =
   expect_invalid "domains=0" (fun () -> R.check ~domains:0 cfg);
   expect_invalid "fingerprint under dpor+sleep" (fun () ->
       R.check ~strategy:E.Dpor_sleep ~fingerprint:true cfg);
-  expect_invalid "symmetry without fingerprint" (fun () -> R.check ~symmetry:true cfg);
   expect_invalid "check_random domains=0" (fun () -> R.check_random ~domains:0 cfg)
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: the fingerprint canonicalizer                               *)
+(* qcheck: the fingerprint key                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Strings over a small alphabet with embedded "k<digits>" tokens. *)
-let gen_tokenful_string =
-  QCheck.Gen.(
-    let frag =
-      oneof
-        [ map (fun i -> "k" ^ string_of_int i) (int_range 0 12);
-          oneofl [ "x"; ","; ";"; "|"; "put("; ")"; "k"; "" ] ]
-    in
-    map (String.concat "") (list_size (int_range 0 20) frag))
-
-let arb_tokenful = QCheck.make ~print:(fun s -> s) gen_tokenful_string
-
-let prop_rename_idempotent =
-  QCheck.Test.make ~name:"rename_tokens is idempotent" ~count:500 arb_tokenful (fun s ->
-      let r = Fpr.rename_tokens ~prefix:"k" s in
-      String.equal r (Fpr.rename_tokens ~prefix:"k" r))
-
-(* Renaming the token namespace through any injection leaves the canonical
-   form untouched: rename_tokens only looks at first-occurrence order. *)
-let prop_rename_permutation_invariant =
-  QCheck.Test.make ~name:"rename_tokens is token-permutation invariant" ~count:500
-    (QCheck.pair arb_tokenful QCheck.(int_range 1 9))
-    (fun (s, shift) ->
-      (* injective renaming: k<i> -> k<100 + (i * 13 + shift)> *)
-      let buf = Buffer.create (String.length s) in
-      let n = String.length s in
-      let i = ref 0 in
-      let digit c = c >= '0' && c <= '9' in
-      while !i < n do
-        if s.[!i] = 'k' && !i + 1 < n && digit s.[!i + 1] then begin
-          let j = ref (!i + 1) in
-          while !j < n && digit s.[!j] do incr j done;
-          let v = int_of_string (String.sub s (!i + 1) (!j - !i - 1)) in
-          Buffer.add_string buf (Printf.sprintf "k%d" (100 + (v * 13) + shift));
-          i := !j
-        end
-        else begin
-          Buffer.add_char buf s.[!i];
-          incr i
-        end
-      done;
-      String.equal
-        (Fpr.rename_tokens ~prefix:"k" s)
-        (Fpr.rename_tokens ~prefix:"k" (Buffer.contents buf)))
 
 (* Random fingerprint states: a handful of threads with classes drawn from
    a small set, pends over those threads, and short rendered worlds. *)
@@ -352,14 +304,13 @@ let gen_state =
     let* crashes = int_range 0 1 in
     let f_threads =
       List.map2
-        (fun tid cls -> { Fpr.f_tid = tid; f_class = cls; f_hist = [] })
+        (fun tid cls -> { Fpr.f_tid = tid; f_class = cls })
         tids classes
     in
     return
       {
         Fpr.f_world = world;
         f_cands = cands;
-        f_phase = "main";
         f_crashes = crashes;
         f_fused = 0;
         f_fsite = 0;
@@ -367,95 +318,14 @@ let gen_state =
       })
 
 let arb_state =
-  QCheck.make ~print:(fun st -> Fpr.canonical st) gen_state
-
-(* Relabel every tid through a bijection, keeping each thread's class
-   attached: with symmetry on, the canonical form must not move. *)
-let relabel perm st =
-  let m t = List.nth perm t in
-  {
-    st with
-    Fpr.f_threads =
-      List.map (fun t -> { t with Fpr.f_tid = m t.Fpr.f_tid }) st.Fpr.f_threads;
-    f_cands =
-      List.map
-        (fun c ->
-          { c with
-            Fpr.f_pend = List.map (fun p -> { p with Fpr.f_ptid = m p.Fpr.f_ptid }) c.Fpr.f_pend
-          })
-        st.Fpr.f_cands;
-  }
-
-let permutations_4 =
-  (* all permutations of [0;1;2;3]; relabel only consults the first n *)
-  let rec perms = function
-    | [] -> [ [] ]
-    | l -> List.concat_map (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l))) l
-  in
-  perms [ 0; 1; 2; 3 ]
-
-let prop_symmetry_relabel_invariant =
-  QCheck.Test.make ~name:"canonical ~symmetry is tid-relabeling invariant" ~count:300
-    (QCheck.pair arb_state (QCheck.oneofl permutations_4))
-    (fun (st, perm) ->
-      String.equal
-        (Fpr.canonical ~symmetry:true st)
-        (Fpr.canonical ~symmetry:true (relabel perm st)))
-
-let prop_symmetry_key_rename_invariant =
-  QCheck.Test.make ~name:"canonical ~key_prefix is key-renaming invariant" ~count:300
-    arb_state (fun st ->
-      (* consistently rename k<i> -> k<i+7> everywhere a key can appear *)
-      let ren s =
-        let buf = Buffer.create (String.length s) in
-        let n = String.length s in
-        let digit c = c >= '0' && c <= '9' in
-        let i = ref 0 in
-        while !i < n do
-          if s.[!i] = 'k' && !i + 1 < n && digit s.[!i + 1] then begin
-            let j = ref (!i + 1) in
-            while !j < n && digit s.[!j] do incr j done;
-            let v = int_of_string (String.sub s (!i + 1) (!j - !i - 1)) in
-            Buffer.add_string buf (Printf.sprintf "k%d" (v + 7));
-            i := !j
-          end
-          else begin
-            Buffer.add_char buf s.[!i];
-            incr i
-          end
-        done;
-        Buffer.contents buf
-      in
-      let st' =
-        {
-          st with
-          Fpr.f_world = ren st.Fpr.f_world;
-          f_cands =
-            List.map
-              (fun c ->
-                {
-                  Fpr.f_state = ren c.Fpr.f_state;
-                  f_pend =
-                    List.map
-                      (fun pd ->
-                        { pd with Fpr.f_args = List.map ren pd.Fpr.f_args })
-                      c.Fpr.f_pend;
-                })
-              st.Fpr.f_cands;
-        }
-      in
-      String.equal
-        (Fpr.canonical ~symmetry:true ~key_prefix:"k" st)
-        (Fpr.canonical ~symmetry:true ~key_prefix:"k" st'))
+  QCheck.make ~print:Fpr.key gen_state
 
 let prop_world_injective =
-  QCheck.Test.make ~name:"distinct worlds never collide (no symmetry)" ~count:300
+  QCheck.Test.make ~name:"distinct worlds never collide (no key aliasing)" ~count:300
     (QCheck.pair arb_state arb_state)
     (fun (s1, s2) ->
       String.equal s1.Fpr.f_world s2.Fpr.f_world
-      || not
-           (String.equal (Fpr.canonical s1)
-              (Fpr.canonical { s1 with Fpr.f_world = s2.Fpr.f_world })))
+      || not (String.equal (Fpr.key s1) (Fpr.key { s1 with Fpr.f_world = s2.Fpr.f_world })))
 
 let prop_digest_stable =
   QCheck.Test.make ~name:"digest is structural (no physical identity)" ~count:300
@@ -472,31 +342,13 @@ let prop_digest_stable =
                   f_pend = List.map (fun pd -> { pd with Fpr.f_op = "op" }) c.Fpr.f_pend;
                 })
               st.Fpr.f_cands;
-          f_phase = "main";
           f_crashes = st.Fpr.f_crashes;
           f_fused = st.Fpr.f_fused;
           f_fsite = st.Fpr.f_fsite;
           f_threads = List.map (fun t -> { t with Fpr.f_tid = t.Fpr.f_tid }) st.Fpr.f_threads;
         }
       in
-      let t1, _ = Fpr.digest st in
-      let t2, fresh2 = Fpr.digest copy in
-      Fpr.equal t1 t2 && Fpr.id t1 = Fpr.id t2 && not fresh2)
-
-let test_intern_semantics () =
-  Fpr.reset ();
-  let t1, fresh1 = Fpr.intern "alpha" in
-  let t2, fresh2 = Fpr.intern "alpha" in
-  let t3, fresh3 = Fpr.intern "beta" in
-  Alcotest.(check bool) "first intern is fresh" true fresh1;
-  Alcotest.(check bool) "second intern is stale" false fresh2;
-  Alcotest.(check bool) "distinct string is fresh" true fresh3;
-  Alcotest.(check int) "stable id" (Fpr.id t1) (Fpr.id t2);
-  Alcotest.(check bool) "distinct ids" true (Fpr.id t1 <> Fpr.id t3);
-  Alcotest.(check string) "key round-trips" "alpha" (Fpr.key t1);
-  Alcotest.(check int) "table size" 2 (Fpr.table_size ());
-  Fpr.reset ();
-  Alcotest.(check int) "reset empties" 0 (Fpr.table_size ())
+      String.equal (Fpr.key st) (Fpr.key copy))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint pruning on the real checker                             *)
@@ -550,36 +402,6 @@ let test_fingerprint_differential () =
     (J.checker_config ly2 ~max_crashes:1
        [ [ J.commit_call ly2 [ (0, b "A") ];
            J.Buggy.commit_call_record_first ly2 [ (0, b "C"); (1, b "D") ] ] ])
-
-(* Interchangeable threads: the symmetry quotient prunes at least as hard
-   as plain fingerprinting, with the same verdict. *)
-let test_symmetry_reduction () =
-  let cfg =
-    Rd.checker_config ~may_fail:false ~max_crashes:1 ~size:1
-      [ [ Rd.write_call 0 (V.str "a") ]; [ Rd.write_call 0 (V.str "a") ] ]
-  in
-  let fp = R.check ~fingerprint:true cfg in
-  let sym = R.check ~fingerprint:true ~symmetry:true cfg in
-  Alcotest.(check string) "symmetry verdict" (verdict fp) (verdict sym);
-  let mfp = (stats_of fp).R.fingerprint_misses in
-  let msym = (stats_of sym).R.fingerprint_misses in
-  Alcotest.(check bool)
-    (Printf.sprintf "symmetry misses (%d) <= fingerprint misses (%d)" msym mfp)
-    true (msym <= mfp);
-  (* and it still catches bugs: two identical writers, unlocked *)
-  let buggy =
-    R.config ~spec:(Rd.spec 1)
-      ~init_world:(Rd.init_world ~may_fail:false 1)
-      ~crash_world:Rd.crash_world ~pp_world:Rd.pp_world
-      ~threads:
-        [ [ Rd.Buggy.write_call_unlocked 0 (V.str "a") ];
-          [ Rd.Buggy.write_call_unlocked 0 (V.str "a") ] ]
-      ~recovery:(Rd.recover_prog 1) ~post:(Rd.probe 1) ~max_crashes:0 ()
-  in
-  Alcotest.(check string)
-    "symmetry still catches the unlocked writers"
-    (verdict (R.check buggy))
-    (verdict (R.check ~fingerprint:true ~symmetry:true buggy))
 
 (* ------------------------------------------------------------------ *)
 (* Obs layer under domains: exact totals                               *)
@@ -727,16 +549,10 @@ let suite =
     Alcotest.test_case "domains: fault schedules" `Quick test_domains_faults;
     Alcotest.test_case "domains: golden counterexamples" `Quick test_domains_golden;
     Alcotest.test_case "domains: argument validation" `Quick test_bad_arguments;
-    QCheck_alcotest.to_alcotest prop_rename_idempotent;
-    QCheck_alcotest.to_alcotest prop_rename_permutation_invariant;
-    QCheck_alcotest.to_alcotest prop_symmetry_relabel_invariant;
-    QCheck_alcotest.to_alcotest prop_symmetry_key_rename_invariant;
     QCheck_alcotest.to_alcotest prop_world_injective;
     QCheck_alcotest.to_alcotest prop_digest_stable;
-    Alcotest.test_case "fingerprint: intern semantics" `Quick test_intern_semantics;
     Alcotest.test_case "fingerprint: differential vs plain" `Quick
       test_fingerprint_differential;
-    Alcotest.test_case "fingerprint: symmetry reduction" `Quick test_symmetry_reduction;
     Alcotest.test_case "obs: metrics 4-domain hammer" `Quick test_metrics_hammer;
     Alcotest.test_case "obs: coverage 4-domain hammer" `Quick test_coverage_hammer;
     Alcotest.test_case "random: domains determinism + replay" `Quick test_random_domains;
