@@ -610,32 +610,40 @@ let test_dependence_seeded_pairs () =
 (* Golden counterexamples                                              *)
 (* ------------------------------------------------------------------ *)
 
-let read_golden name =
+let read_golden file =
   (* cwd is test/ under `dune runtest` but the project root under
      `dune exec test/test_main.exe` *)
   let candidates =
-    [ Filename.concat "golden" (name ^ ".lanes.txt");
-      Filename.concat "test/golden" (name ^ ".lanes.txt") ]
+    [ Filename.concat "golden" file; Filename.concat "test/golden" file ]
   in
   let file =
     match List.find_opt Sys.file_exists candidates with
     | Some f -> f
-    | None -> Alcotest.failf "golden file %s.lanes.txt not found" name
+    | None -> Alcotest.failf "golden file %s not found" file
   in
   let ic = open_in_bin file in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
 
-let golden name (run : E.strategy -> R.result) =
+(* The lanes of every golden counterexample are pinned; with [~full] so
+   are its flat listing ([name.failure.txt]) and its Chrome export
+   ([name.chrome.json]). *)
+let golden ?(full = false) name (run : E.strategy -> R.result) =
   List.iter
     (fun s ->
       match run s with
       | R.Refinement_violated (f, _) ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s lanes under %s" name (E.strategy_name s))
-          (read_golden name)
-          (Fmt.str "%a" R.pp_failure_lanes f)
+        let pin what ext got =
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s under %s" name what (E.strategy_name s))
+            (read_golden (name ^ ext)) got
+        in
+        pin "lanes" ".lanes.txt" (Fmt.str "%a" R.pp_failure_lanes f);
+        if full then begin
+          pin "flat text" ".failure.txt" (Fmt.str "%a" R.pp_failure f);
+          pin "chrome export" ".chrome.json" (Obs.Json.to_string (R.failure_chrome f))
+        end
       | r -> Alcotest.failf "%s: expected violation under %s, got %s" name
                (E.strategy_name s) (verdict r))
     E.all_strategies
@@ -650,7 +658,7 @@ let test_golden_journal () =
       R.check ~strategy
         (J.checker_config ly2 ~max_crashes:1
            [ [ J.Buggy.commit_call_no_log ly2 [ (0, b "A"); (1, b "B") ] ] ]));
-  golden "journal_recover_clear_first" (fun strategy ->
+  golden ~full:true "journal_recover_clear_first" (fun strategy ->
       R.check ~strategy
         (R.config ~spec:(J.spec ly2) ~init_world:(J.init_world ly2)
            ~crash_world:J.crash_world ~pp_world:J.pp_world

@@ -243,15 +243,14 @@ let test_rd_no_retry_caught_by_walks () =
 (* Golden fault counterexample (both strategies)                        *)
 (* ------------------------------------------------------------------ *)
 
-let read_golden name =
+let read_golden file =
   let candidates =
-    [ Filename.concat "golden" (name ^ ".lanes.txt");
-      Filename.concat "test/golden" (name ^ ".lanes.txt") ]
+    [ Filename.concat "golden" file; Filename.concat "test/golden" file ]
   in
   let file =
     match List.find_opt Sys.file_exists candidates with
     | Some f -> f
-    | None -> Alcotest.failf "golden file %s.lanes.txt not found" name
+    | None -> Alcotest.failf "golden file %s not found" file
   in
   let ic = open_in_bin file in
   let s = really_input_string ic (in_channel_length ic) in
@@ -268,10 +267,15 @@ let test_golden_fault_counterexample () =
              (RD.checker_config ~may_fail:false ~size:1 ~max_crashes:0 ~fault_budget:1
                 [ [ RD.write_call 0 (bv "x"); RD.Buggy.read_ft_call_no_retry 0 ] ]))
       in
-      Alcotest.(check string)
-        (Printf.sprintf "rd_fault_no_retry lanes under %s" (E.strategy_name strategy))
-        (read_golden "rd_fault_no_retry")
-        (Fmt.str "%a" R.pp_failure_lanes f))
+      let pin what ext got =
+        Alcotest.(check string)
+          (Printf.sprintf "rd_fault_no_retry %s under %s" what (E.strategy_name strategy))
+          (read_golden ("rd_fault_no_retry" ^ ext))
+          got
+      in
+      pin "lanes" ".lanes.txt" (Fmt.str "%a" R.pp_failure_lanes f);
+      pin "flat text" ".failure.txt" (Fmt.str "%a" R.pp_failure f);
+      pin "chrome export" ".chrome.json" (Obs.Json.to_string (R.failure_chrome f)))
     E.all_strategies
 
 (* ------------------------------------------------------------------ *)

@@ -237,7 +237,7 @@ let test_domains_golden () =
         | R.Refinement_violated (f, _) ->
           Alcotest.(check string)
             (Printf.sprintf "%s lanes under %s (parallel)" name (E.strategy_name s))
-            (Test_explore.read_golden name)
+            (Test_explore.read_golden (name ^ ".lanes.txt"))
             (Fmt.str "%a" R.pp_failure_lanes f)
         | r ->
           Alcotest.failf "%s: expected violation under %s, got %s" name
