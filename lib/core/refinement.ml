@@ -62,69 +62,52 @@ let pp_stats ppf s =
 (* Structured counterexample events                                     *)
 (* ------------------------------------------------------------------ *)
 
-type event_kind = Invoke | Step | Return | Crash | Fault
-
 type event_phase = Main | Recovery | Post
 
-type event = {
-  ev_tid : int option;
-  ev_kind : event_kind;
-  ev_phase : event_phase;
-  ev_label : string;
-  ev_text : string;
-}
+type event =
+  | Invoke of { tid : int; call : Spec.call }
+  | Step of { tid : int; label : string }
+  | Fault of { tid : int; label : string; kind : Sched.Fault.kind }
+  | Return of { tid : int; call : Spec.call; value : V.t; phase : event_phase }
+  | Crash of { during_recovery : bool }
+  | Solo_step of { phase : event_phase; label : string }
 
-let ev_invoke tid call =
-  { ev_tid = Some tid; ev_kind = Invoke; ev_phase = Main;
-    ev_label = "invoke " ^ call.Spec.op;
-    ev_text = Fmt.str "t%d: invoke %a" tid Spec.pp_call call }
+let phase_name = function Main -> "main" | Recovery -> "recovery" | Post -> "post"
 
-let ev_return tid call v =
-  { ev_tid = Some tid; ev_kind = Return; ev_phase = Main;
-    ev_label = "return " ^ call.Spec.op;
-    ev_text = Fmt.str "t%d: %a returns %a" tid Spec.pp_call call V.pp v }
+let event_tid = function
+  | Invoke { tid; _ } | Step { tid; _ } | Fault { tid; _ } | Return { tid; _ } -> Some tid
+  | Crash _ | Solo_step _ -> None
 
-let ev_step tid label =
-  { ev_tid = Some tid; ev_kind = Step; ev_phase = Main; ev_label = label;
-    ev_text = Fmt.str "t%d: %s" tid label }
+let event_phase = function
+  | Invoke _ | Step _ | Fault _ -> Main
+  | Return { phase; _ } | Solo_step { phase; _ } -> phase
+  | Crash { during_recovery } -> if during_recovery then Recovery else Main
 
-(* A fault replaces the step's normal outcome, so one event carries both
-   the step label and the injected kind; it renders inline in the faulting
-   thread's lane. *)
-let ev_fault tid label kind =
-  { ev_tid = Some tid; ev_kind = Fault; ev_phase = Main;
-    ev_label = "FAULT " ^ Sched.Fault.kind_name kind;
-    ev_text = Fmt.str "t%d: %s FAULT %s" tid label (Sched.Fault.kind_name kind) }
+let event_label = function
+  | Invoke { call; _ } -> "invoke " ^ call.Spec.op
+  | Step { label; _ } | Solo_step { label; _ } -> label
+  (* a fault replaces the step's normal outcome: the lane shows the kind *)
+  | Fault { kind; _ } -> "FAULT " ^ Sched.Fault.kind_name kind
+  | Return { call; _ } -> "return " ^ call.Spec.op
+  | Crash _ -> "CRASH"
 
-let ev_crash ~during_recovery =
-  { ev_tid = None; ev_kind = Crash;
-    ev_phase = (if during_recovery then Recovery else Main); ev_label = "CRASH";
-    ev_text = (if during_recovery then "CRASH (during recovery)" else "CRASH") }
+let event_text = function
+  | Invoke { tid; call } -> Fmt.str "t%d: invoke %a" tid Spec.pp_call call
+  | Step { tid; label } -> Fmt.str "t%d: %s" tid label
+  | Fault { tid; label; kind } -> Fmt.str "t%d: %s FAULT %s" tid label (Sched.Fault.kind_name kind)
+  | Return { tid; call; value; phase } ->
+    Fmt.str "%st%d: %a returns %a"
+      (match phase with Post -> "post " | Main | Recovery -> "")
+      tid Spec.pp_call call V.pp value
+  | Crash { during_recovery } -> if during_recovery then "CRASH (during recovery)" else "CRASH"
+  | Solo_step { phase; label } -> phase_name phase ^ ": " ^ label
 
-let ev_rstep label =
-  { ev_tid = None; ev_kind = Step; ev_phase = Recovery; ev_label = label;
-    ev_text = "recovery: " ^ label }
-
-let ev_pstep label =
-  { ev_tid = None; ev_kind = Step; ev_phase = Post; ev_label = label;
-    ev_text = "post: " ^ label }
-
-let ev_post_return tid call v =
-  { ev_tid = Some tid; ev_kind = Return; ev_phase = Post;
-    ev_label = "return " ^ call.Spec.op;
-    ev_text = Fmt.str "post t%d: %a returns %a" tid Spec.pp_call call V.pp v }
-
-type failure = { reason : string; trace : string list; events : event list }
-
-(* [revents] is newest-first, as accumulated during exploration. *)
-let mk_failure reason revents =
-  let events = List.rev revents in
-  { reason; trace = List.map (fun e -> e.ev_text) events; events }
+type failure = { reason : string; events : event list }
 
 let pp_failure ppf f =
   Fmt.pf ppf "@[<v>refinement violated: %s@,trace:@,  @[<v>%a@]@]" f.reason
-    (Fmt.list ~sep:Fmt.cut Fmt.string)
-    f.trace
+    (Fmt.list ~sep:Fmt.cut (Fmt.using event_text Fmt.string))
+    f.events
 
 (* Per-thread lanes: one column per thread id (in order of appearance),
    plus a rightmost lane for global events (crash, recovery, post steps). *)
@@ -132,7 +115,7 @@ let pp_failure_lanes ppf f =
   let tids =
     List.fold_left
       (fun acc e ->
-        match e.ev_tid with
+        match event_tid e with
         | Some t when not (List.mem t acc) -> acc @ [ t ]
         | _ -> acc)
       [] f.events
@@ -140,7 +123,7 @@ let pp_failure_lanes ppf f =
   let width = 26 in
   let n_lanes = List.length tids + 1 in
   let lane_of e =
-    match e.ev_tid with
+    match event_tid e with
     | Some t ->
       let rec idx i = function
         | [] -> n_lanes - 1
@@ -163,7 +146,7 @@ let pp_failure_lanes ppf f =
     (fun e ->
       let lane = lane_of e in
       for i = 0 to n_lanes - 1 do
-        let cell = if i = lane then clip e.ev_label else "" in
+        let cell = if i = lane then clip (event_label e) else "" in
         Fmt.pf ppf "%s%-*s" (if i = 0 then "  " else "| ") (width - 2) cell
       done;
       Fmt.pf ppf "@,")
@@ -174,21 +157,20 @@ let pp_failure_lanes ppf f =
    1ms-wide box at its position in the interleaving; crashes are instants.
    Global (crash/recovery/post) events land on tid 1000. *)
 let failure_chrome f =
-  let cat_of = function Main -> "main" | Recovery -> "recovery" | Post -> "post" in
   let events =
     List.mapi
       (fun i e ->
         {
-          Obs.Trace.name = e.ev_label;
-          cat = cat_of e.ev_phase;
+          Obs.Trace.name = event_label e;
+          cat = phase_name (event_phase e);
           ph =
-            (match e.ev_kind with
-            | Crash | Fault -> Obs.Trace.Instant
-            | Invoke | Step | Return -> Obs.Trace.Complete 900.);
+            (match e with
+            | Crash _ | Fault _ -> Obs.Trace.Instant
+            | Invoke _ | Step _ | Return _ | Solo_step _ -> Obs.Trace.Complete 900.);
           ts = float_of_int (i * 1000);
           pid = 1;
-          tid = (match e.ev_tid with Some t -> t | None -> 1000);
-          args = [ ("text", Obs.Trace.S e.ev_text) ];
+          tid = Option.value (event_tid e) ~default:1000;
+          args = [ ("text", Obs.Trace.S (event_text e)) ];
         })
       f.events
   in
@@ -392,7 +374,9 @@ type inst_outcome = I_ok | I_viol of failure | I_budget
    point this work item was emitted) are not re-executed. *)
 exception Break
 
-let fail trace fmt = Fmt.kstr (fun reason -> raise (Violation (mk_failure reason trace))) fmt
+(* [trace] is newest-first, as accumulated during exploration. *)
+let fail trace fmt =
+  Fmt.kstr (fun reason -> raise (Violation { reason; events = List.rev trace })) fmt
 
 (* What an engine instance drives over the core.
 
@@ -502,10 +486,9 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
      a pruned crash branch registers without hitting, so reduced
      strategies report exactly which crash points they relied on pruning
      for. *)
-  let phase_name = function Main -> "main" | Recovery -> "recovery" | Post -> "post" in
   let crash_site = function
     | [] -> "init"
-    | e :: _ -> phase_name e.ev_phase ^ ":" ^ e.ev_label
+    | e :: _ -> phase_name (event_phase e) ^ ":" ^ event_label e
   in
   let cov_crash_skip trace =
     if Obs.Coverage.enabled () then
@@ -540,14 +523,14 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
     match find [] lives with
     | None -> (lives, cands, trace)
     | Some (others, l, v) ->
-      let trace = ev_return l.tid l.call v :: trace in
+      let trace = Return { tid = l.tid; call = l.call; value = v; phase = Main } :: trace in
       let cands = respond l.tid v trace cands in
       (match l.rest with
       | [] -> settle others cands trace
       | (call', prog') :: rest' ->
         let tid = fresh_tid () in
         let live' = { tid; call = call'; prog = prog'; rest = rest' } in
-        let trace = ev_invoke tid call' :: trace in
+        let trace = Invoke { tid; call = call' } :: trace in
         settle (live' :: others) (Tracker.add_pending tk tid call' cands) trace)
   in
   let initial () =
@@ -641,12 +624,12 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
   (* One step [nx] of a program running alone — recovery or a post probe:
      [k] continues from each outcome the chooser resolves.  Running alone,
      blocking is a violation. *)
-  let solo who mk_ev trace nx k =
+  let solo who phase trace nx k =
     bump_steps ();
     match nx with
     | Sched.Prog.Enabled s ->
-      each (Sched.Prog.Step.outcomes s) (fun (w', prog') ->
-          k w' prog' (mk_ev (Sched.Prog.Step.label s) :: trace))
+      let ev = Solo_step { phase; label = Sched.Prog.Step.label s } in
+      each (Sched.Prog.Step.outcomes s) (fun (w', prog') -> k w' prog' (ev :: trace))
     | Sched.Prog.Blocked label -> fail trace "%s blocked at %s" who label
     | Sched.Prog.Undefined { label; reason } ->
       fail trace "%s hit undefined behaviour at %s: %s" who label reason
@@ -667,10 +650,10 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
         let rec go w prog trace =
           match Sched.Prog.next w prog with
           | Sched.Prog.Finished v ->
-            let trace = ev_post_return tid call v :: trace in
+            let trace = Return { tid; call; value = v; phase = Post } :: trace in
             let next = match driver with Dfs _ -> trace | Walks _ -> base in
             vacuous_ok (fun () -> probes w (respond tid v trace cands) next rest)
-          | nx -> solo "post op" ev_pstep trace nx go
+          | nx -> solo "post op" Post trace nx go
         in
         go w prog trace
     in
@@ -694,14 +677,14 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
       let step () =
         match Sched.Prog.next w prog with
         | Sched.Prog.Finished _ -> post w (crash_cands trace cands) trace
-        | nx -> solo "recovery" ev_rstep trace nx go
+        | nx -> solo "recovery" Recovery trace nx go
       in
       if crashes >= cfg.max_crashes then step ()
       else
         crash_or step ~crash:(fun () ->
             inject_crash trace;
             recover (cfg.crash_world w) cands (crashes + 1)
-              (ev_crash ~during_recovery:true :: trace))
+              (Crash { during_recovery = true } :: trace))
     in
     go w cfg.recovery trace
   in
@@ -715,7 +698,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
         let cands = Tracker.saturate tk cands in
         let crashes = match driver with Dfs _ -> crashes + 1 | Walks _ -> crashes in
         timed_phase "recovery" ctr C.recovery_ns (fun () ->
-            recover (cfg.crash_world w) cands crashes (ev_crash ~during_recovery:false :: trace)))
+            recover (cfg.crash_world w) cands crashes (Crash { during_recovery = false } :: trace)))
   in
 
   (* A live thread's next step as the drivers see it, or [None] while it
@@ -783,11 +766,11 @@ let run_instance (type w s) (cfg : (w, s) config) ~driver ~fault_budget ~deadlin
       List.map (fun l -> if l.tid = si.E.si_tid then { l with prog = prog' } else l) lives
     in
     match kind with
-    | None -> k w' lives (ev_step si.si_tid si.si_label :: trace) fused
+    | None -> k w' lives (Step { tid = si.si_tid; label = si.si_label } :: trace) fused
     | Some kind ->
       if live then cov_fault_hit si.si_label kind;
       in_fault_branch ~live fsite kind (fun () ->
-          k w' lives (ev_fault si.si_tid si.si_label kind :: trace) (fused + 1))
+          k w' lives (Fault { tid = si.si_tid; label = si.si_label; kind } :: trace) (fused + 1))
   in
 
   (* ---- Exhaustive DFS.  One node routine serves every strategy: under

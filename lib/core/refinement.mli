@@ -121,28 +121,42 @@ val pp_stats : stats Fmt.t
 
 (** {2 Counterexamples}
 
-    A failing path is kept as structured events — thread id, kind, phase —
-    so it can be rendered as per-thread lanes ({!pp_failure_lanes}) or
-    exported as a Chrome trace ({!failure_chrome}), in addition to the
-    classic flat listing ({!pp_failure}). *)
-
-type event_kind = Invoke | Step | Return | Crash | Fault
+    A failing path is a history: what each thread invoked, stepped and
+    returned, and where crashes struck.  The checker records it as data
+    and renders text only when a failure is read — as the classic flat
+    listing ({!pp_failure}), as per-thread lanes ({!pp_failure_lanes}), or
+    as a Chrome trace ({!failure_chrome}). *)
 
 type event_phase = Main | Recovery | Post
 
-type event = {
-  ev_tid : int option;  (** [None] for global events (crash, recovery, post steps) *)
-  ev_kind : event_kind;
-  ev_phase : event_phase;
-  ev_label : string;  (** short label: op name or atomic-step label *)
-  ev_text : string;  (** the classic one-line rendering of this event *)
-}
+type event =
+  | Invoke of { tid : int; call : Spec.call }
+      (** thread [tid] invokes its next operation (a thread's first
+          operation is pending from the start and has no [Invoke]) *)
+  | Step of { tid : int; label : string }
+      (** thread [tid] commits the atomic step [label] *)
+  | Fault of { tid : int; label : string; kind : Sched.Fault.kind }
+      (** thread [tid]'s step [label] takes the injected fault [kind] in
+          place of its normal outcome *)
+  | Return of { tid : int; call : Spec.call; value : V.t; phase : event_phase }
+      (** thread [tid]'s operation returns [value]; [phase] is [Main] for
+          a main-phase operation and [Post] for a post probe *)
+  | Crash of { during_recovery : bool }
+  | Solo_step of { phase : event_phase; label : string }
+      (** a step of a program running alone: recovery ([phase = Recovery])
+          or a post probe ([phase = Post]) *)
+
+val event_label : event -> string
+(** The short label a lane shows: the step label, ["invoke op"],
+    ["return op"], ["FAULT kind"] or ["CRASH"]. *)
+
+val event_text : event -> string
+(** The one-line rendering {!pp_failure} lists, e.g. ["t0: disk_write(3)"],
+    ["t1: invoke rd_read_ft(0)"] or ["recovery: disk_read(2)"]. *)
 
 type failure = {
   reason : string;
-  trace : string list;  (** events on the failing path, oldest first —
-                            exactly [List.map (fun e -> e.ev_text) events] *)
-  events : event list;  (** the same path, structured *)
+  events : event list;  (** the failing path, oldest first *)
 }
 
 val pp_failure : failure Fmt.t

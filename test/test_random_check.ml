@@ -121,7 +121,10 @@ let test_random_replay_round_trip () =
      with
     | R.Refinement_violated (f', _) ->
       Alcotest.(check string) "same reason" f.R.reason f'.R.reason;
-      Alcotest.(check (list string)) "same trace" f.R.trace f'.R.trace
+      Alcotest.(check (list string))
+        "same trace"
+        (List.map R.event_text f.R.events)
+        (List.map R.event_text f'.R.events)
     | R.Refinement_holds stats ->
       Alcotest.failf "replay missed the failure (%a)" R.pp_stats stats
     | R.Budget_exhausted stats -> Alcotest.failf "replay budget (%a)" R.pp_stats stats)
