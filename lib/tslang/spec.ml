@@ -12,7 +12,7 @@ type call = { op : string; args : Value.t list }
 let call op args = { op; args }
 
 let pp_call ppf { op; args } =
-  Fmt.pf ppf "%s(%a)" op (Fmt.list ~sep:Fmt.comma Value.pp) args
+  Fmt.pf ppf "%s(%a)" op (Fmt.list ~sep:(Fmt.any ", ") Value.pp) args
 
 let equal_call a b =
   String.equal a.op b.op

@@ -53,7 +53,7 @@ let rec pp ppf = function
   | Int n -> Fmt.int ppf n
   | Str s -> Fmt.pf ppf "%S" s
   | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" pp a pp b
-  | List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:Fmt.semi pp) vs
+  | List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") pp) vs
   | Opt None -> Fmt.string ppf "None"
   | Opt (Some v) -> Fmt.pf ppf "Some %a" pp v
 
