@@ -9,10 +9,7 @@ type 'w outcome = {
   world : 'w;
   results : V.t array;
   trace : (int * string) list;
-  footprints : Footprint.t list;
   steps : int;
-  per_thread_steps : int array;
-  context_switches : int;
   injected : (int * Fault.kind) list;
 }
 
@@ -39,9 +36,7 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
   let states = Array.of_list (List.map (fun p -> Running p) threads) in
   let world = ref world in
   let trace = ref [] in
-  let fps = ref [] in
   let steps = ref 0 in
-  let per_thread = Array.make n 0 in
   let switches = ref 0 in
   let last_ran = ref (-1) in
   (* Fault-injection oracle: [site] counts committed fault-eligible steps;
@@ -173,10 +168,8 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
           in
           commit (List.nth outs idx)
         end;
-        fps := Prog.Step.footprint s :: !fps;
         trace := (i, Prog.Step.label s) :: !trace;
         incr steps;
-        per_thread.(i) <- per_thread.(i) + 1;
         if !last_ran >= 0 && !last_ran <> i then incr switches;
         last_ran := i;
         if !steps > max_steps then failwith "Runner.run: step budget exceeded";
@@ -190,9 +183,7 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
   let results =
     Array.map (function Finished v -> v | Running _ -> assert false) states
   in
-  { world = !world; results; trace = List.rev !trace;
-    footprints = List.rev !fps; steps = !steps;
-    per_thread_steps = per_thread; context_switches = !switches;
+  { world = !world; results; trace = List.rev !trace; steps = !steps;
     injected = List.rev !injected }
 
 let run1 world prog =

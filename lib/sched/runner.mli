@@ -16,15 +16,7 @@ type 'w outcome = {
   world : 'w;
   results : Tslang.Value.t array;  (** per-thread final values *)
   trace : (int * string) list;  (** (thread, step label) in execution order *)
-  footprints : Footprint.t list;
-      (** footprint of each committed step, evaluated in its pre-state;
-          aligned with [trace] — this is what makes dependence between the
-          steps of a concrete execution computable (see
-          {!Perennial_core.Explore}) *)
   steps : int;
-  per_thread_steps : int array;  (** steps committed by each thread *)
-  context_switches : int;
-      (** times the scheduler ran a different thread than the previous step *)
   injected : (int * Fault.kind) list;
       (** faults actually fired, as (site index, kind) in execution order *)
 }
