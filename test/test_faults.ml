@@ -243,20 +243,6 @@ let test_rd_no_retry_caught_by_walks () =
 (* Golden fault counterexample (both strategies)                        *)
 (* ------------------------------------------------------------------ *)
 
-let read_golden file =
-  let candidates =
-    [ Filename.concat "golden" file; Filename.concat "test/golden" file ]
-  in
-  let file =
-    match List.find_opt Sys.file_exists candidates with
-    | Some f -> f
-    | None -> Alcotest.failf "golden file %s not found" file
-  in
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let test_golden_fault_counterexample () =
   List.iter
     (fun strategy ->
@@ -270,7 +256,7 @@ let test_golden_fault_counterexample () =
       let pin what ext got =
         Alcotest.(check string)
           (Printf.sprintf "rd_fault_no_retry %s under %s" what (E.strategy_name strategy))
-          (read_golden ("rd_fault_no_retry" ^ ext))
+          (Test_explore.read_golden ("rd_fault_no_retry" ^ ext))
           got
       in
       pin "lanes" ".lanes.txt" (Fmt.str "%a" R.pp_failure_lanes f);
